@@ -15,14 +15,9 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
-	"repro/internal/callgraph"
-	"repro/internal/cminor"
-	"repro/internal/contexts"
 	"repro/internal/core"
 	"repro/internal/datalog"
-	"repro/internal/ir"
 	"repro/internal/pipeline"
-	"repro/internal/pointer"
 	"repro/internal/workloads"
 	"repro/regions"
 )
@@ -341,7 +336,7 @@ func BenchmarkAblationBackend(b *testing.B) {
 		b.Run(backend.name, func(b *testing.B) {
 			var warnings int
 			for i := 0; i < b.N; i++ {
-				a := mustAnalyze(b, core.Options{Backend: backend.be}, src)
+				a := mustAnalyze(b, core.Options{Solver: core.SolverOptions{Backend: backend.be}}, src)
 				warnings = len(a.Report.Warnings)
 			}
 			b.ReportMetric(float64(warnings), "warnings")
@@ -416,43 +411,6 @@ func BenchmarkAblationHeapCloning(b *testing.B) {
 			b.ReportMetric(float64(h), "H")
 		})
 	}
-}
-
-// BenchmarkAblationPointerSolver compares the explicit worklist
-// points-to solver against the all-relational Datalog/BDD solver (the
-// way the paper's prototype ran inside bddbddb), context-insensitively
-// so both solve the same problem.
-func BenchmarkAblationPointerSolver(b *testing.B) {
-	src := ablationSource(b)
-	f, errs := cminor.Parse("bench.c", src)
-	if len(errs) != 0 {
-		b.Fatal(errs[0])
-	}
-	info := cminor.Check(f)
-	if len(info.Errors) != 0 {
-		b.Fatal(info.Errors[0])
-	}
-	prog := ir.Lower(info, f)
-	g := callgraph.Build(prog, "main", nil)
-	n := contexts.Number(g, 1)
-	cfg := pointer.Config{
-		AllocFns:    map[string]bool{"apr_palloc": true, "apr_pcalloc": true, "apr_pstrdup": true, "malloc": true},
-		OutAllocFns: map[string]int{"apr_pool_create": 0},
-	}
-	b.Run("explicit", func(b *testing.B) {
-		var heap int
-		for i := 0; i < b.N; i++ {
-			heap = pointer.Analyze(n, cfg).HeapSize()
-		}
-		b.ReportMetric(float64(heap), "heap-edges")
-	})
-	b.Run("bdd", func(b *testing.B) {
-		var heap int
-		for i := 0; i < b.N; i++ {
-			heap = pointer.AnalyzeBDD(context.Background(), n, cfg).HeapSize()
-		}
-		b.ReportMetric(float64(heap), "heap-edges")
-	})
 }
 
 // BenchmarkAblationRanking measures how much inspection work the

@@ -17,11 +17,10 @@ import (
 
 // kernelDoc is the -kernel-bench output (schema regionbench/kernel/v1):
 // the BDD kernel's memory trajectory on the heaviest workload under
-// three lifecycle configurations — no GC, mark-and-sweep GC, and GC
-// plus sifting reorder — with a report-parity gate. The headline
-// number is the peak live node count: GC must reduce it (that is the
-// point of sweeping between strata), and the walls say what that
-// reduction costs.
+// two lifecycle configurations — no GC and mark-and-sweep GC — with a
+// report-parity gate. The headline number is the peak live node count:
+// GC must reduce it (that is the point of sweeping between strata), and
+// the walls say what that reduction costs.
 type kernelDoc struct {
 	Schema   string `json:"schema"`
 	Seed     int64  `json:"seed"`
@@ -42,19 +41,16 @@ type kernelDoc struct {
 }
 
 type kernelConfigDoc struct {
-	Name    string `json:"name"`
-	GC      bool   `json:"gc"`
-	Reorder bool   `json:"reorder"`
+	Name string `json:"name"`
+	GC   bool   `json:"gc"`
 	// PeakNodes / FinalNodes sum the per-executable kernel peaks and
 	// final live counts across the workload's executables.
 	PeakNodes  int64 `json:"peak_nodes"`
 	FinalNodes int64 `json:"final_nodes"`
 	// Lifecycle counters, summed across executables.
-	Collections  uint64  `json:"collections"`
-	NodesFreed   uint64  `json:"nodes_freed"`
-	SweepMS      float64 `json:"sweep_ms"`
-	Reorders     uint64  `json:"reorders"`
-	ReorderSwaps uint64  `json:"reorder_swaps"`
+	Collections uint64  `json:"collections"`
+	NodesFreed  uint64  `json:"nodes_freed"`
+	SweepMS     float64 `json:"sweep_ms"`
 	// PairsWallMS is the pairs phase's wall (median over rounds,
 	// summed across executables); TotalWallMS the whole pipeline's.
 	PairsWallMS float64 `json:"pairs_wall_ms"`
@@ -84,7 +80,6 @@ var kernelConfigs = []struct {
 }{
 	{"baseline", bdd.Config{}},
 	{"gc", bdd.Config{GC: true}},
-	{"gc_reorder", bdd.Config{GC: true, Reorder: true}},
 }
 
 // runKernelBench measures the kernel lifecycle trajectory on the
@@ -120,7 +115,7 @@ func runKernelBench(path string, seed int64, rounds int, pkgs []*workloads.Packa
 	// Canonical per-exe reports from the baseline config gate the rest.
 	var baseline []string
 	for _, c := range kernelConfigs {
-		kc := kernelConfigDoc{Name: c.name, GC: c.cfg.GC, Reorder: c.cfg.Reorder}
+		kc := kernelConfigDoc{Name: c.name, GC: c.cfg.GC}
 		var totalsMS, pairsMS, relprodMS []float64
 		for r := 0; r < rounds; r++ {
 			var total, pairs float64
@@ -149,8 +144,6 @@ func runKernelBench(path string, seed int64, rounds int, pkgs []*workloads.Packa
 					kc.Collections += st.Collections
 					kc.NodesFreed += st.NodesFreed
 					kc.SweepMS += float64(st.SweepWallNS) / float64(time.Millisecond)
-					kc.Reorders += st.Reorders
-					kc.ReorderSwaps += st.ReorderSwaps
 				}
 				reports = append(reports, stableReportJSON(a.Report))
 			}
@@ -191,9 +184,9 @@ func runKernelBench(path string, seed int64, rounds int, pkgs []*workloads.Packa
 	}
 	fmt.Printf("kernel: %s (%d exes), median of %d\n", doc.Workload, doc.Exes, doc.Rounds)
 	for _, kc := range doc.Configs {
-		fmt.Printf("  %-10s peak %7d  final %7d  gc %3d (freed %7d, %.1fms)  reorder %2d (%5d swaps)  pairs %7.1fms  total %7.1fms  relprod %6.1fms\n",
+		fmt.Printf("  %-10s peak %7d  final %7d  gc %3d (freed %7d, %.1fms)  pairs %7.1fms  total %7.1fms  relprod %6.1fms\n",
 			kc.Name, kc.PeakNodes, kc.FinalNodes, kc.Collections, kc.NodesFreed, kc.SweepMS,
-			kc.Reorders, kc.ReorderSwaps, kc.PairsWallMS, kc.TotalWallMS, kc.RelProdMS)
+			kc.PairsWallMS, kc.TotalWallMS, kc.RelProdMS)
 	}
 	for name, red := range doc.PeakReductionVsBaseline {
 		fmt.Printf("  peak reduction %-10s %.1f%%\n", name, 100*red)
@@ -225,9 +218,6 @@ func relProdMicro(cfg bdd.Config) float64 {
 	m.Ref(r1)
 	m.Ref(r2)
 	cube := m.Ref(b.Cube())
-	if cfg.Reorder {
-		m.Reorder()
-	}
 
 	t0 := time.Now()
 	acc := bdd.False

@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
-	"repro/internal/cminor"
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/workloads"
 )
 
@@ -19,8 +16,8 @@ import (
 // regionbench/parallel/v1): the largest workload, split into files so
 // the front end has shardable work, analyzed end to end at several
 // solver worker counts on both backends. Alongside the speedups it
-// records the one property the parallel solver must never trade away:
-// the report at every worker count is byte-identical to the
+// records the one property the sharded front end must never trade
+// away: the report at every worker count is byte-identical to the
 // sequential one (volatile wall-time stats excluded).
 type parallelDoc struct {
 	Schema string `json:"schema"`
@@ -34,60 +31,10 @@ type parallelDoc struct {
 	Rounds int `json:"rounds"`
 	// HostCPUs is runtime.NumCPU() on the machine that produced the
 	// numbers. Measured speedups are bounded by it: on a host with
-	// fewer than 4 CPUs, speedup_4w cannot reflect the schedule's
-	// potential — read the model block instead.
-	HostCPUs int `json:"host_cpus"`
-	// Underprovisioned is true when the host has fewer CPUs than the
-	// widest measured worker count: the measured speedups are then
-	// scheduling artifacts, not the schedule's potential — trust the
-	// model block, not speedup_4w.
-	Underprovisioned bool              `json:"underprovisioned,omitempty"`
-	Backends         []parallelBackend `json:"backends"`
-	// Model is the hardware-independent scaling projection from
-	// work/span measured on a serial instrumented run.
-	Model *parallelModel `json:"model,omitempty"`
-}
-
-// parallelModel projects wall time at w workers by Brent's bound
-//
-//	T(w) = seq + Σ_stages max(span_s, work_s / w)
-//
-// over the three sharded front-end stages (per-file parse, per-file
-// body check, per-file lower). work is the sum of per-file walls and
-// span the largest single file, both measured with the shards running
-// SERIALLY (workers=1 through the sharded code path), so no value is
-// inflated by scheduler time-slicing. seq is the measured cost of
-// everything that stays sequential: the declaration passes, the
-// fragment link, and the back half of the pipeline (call graph through
-// post, from the baseline run's own phase stats). Every component is
-// the element-wise minimum over the rounds — noise only ever inflates
-// a wall — and the projection compares against their sum t1_ms, so
-// numerator and denominator carry the same noise floor. The projection
-// is what the measured speedups converge to as host_cpus reaches the
-// worker count.
-type parallelModel struct {
-	// BaselineMS is the measured workers=1 explicit wall (reference
-	// only; the speedups below are computed against T1MS).
-	BaselineMS float64 `json:"baseline_ms"`
-	// T1MS is the component sum: parse+body+lower work, decl, link,
-	// and rest.
-	T1MS        float64        `json:"t1_ms"`
-	RestMS      float64        `json:"rest_ms"`
-	ParseWorkMS float64        `json:"parse_work_ms"`
-	ParseSpanMS float64        `json:"parse_span_ms"`
-	DeclMS      float64        `json:"decl_ms"`
-	BodyWorkMS  float64        `json:"body_work_ms"`
-	BodySpanMS  float64        `json:"body_span_ms"`
-	LowerWorkMS float64        `json:"lower_work_ms"`
-	LowerSpanMS float64        `json:"lower_span_ms"`
-	LinkMS      float64        `json:"link_ms"`
-	Projected   []projectedRun `json:"projected"`
-}
-
-type projectedRun struct {
-	Workers int     `json:"workers"`
-	TimeMS  float64 `json:"time_ms"`
-	Speedup float64 `json:"speedup"`
+	// fewer than 4 CPUs, speedup_4w measures oversubscription, not the
+	// sharding's potential.
+	HostCPUs int               `json:"host_cpus"`
+	Backends []parallelBackend `json:"backends"`
 }
 
 type parallelBackend struct {
@@ -105,31 +52,13 @@ type parallelRun struct {
 	TimeMS  float64 `json:"time_ms"`
 	// RunsMS lists every repetition (TimeMS is their median).
 	RunsMS []float64 `json:"runs_ms"`
-	// Solver describes the parallel pointer-solve schedule (absent for
-	// workers <= 1).
-	Solver *solverSched `json:"solver,omitempty"`
-}
-
-// solverSched is the pointer solver's SCC schedule summary, also
-// embedded per workload in -json mode runs with -solver-workers > 1.
-type solverSched struct {
-	Workers int `json:"workers"`
-	Comps   int `json:"sccs"`
-	Levels  int `json:"levels"`
-	Tasks   int `json:"tasks"`
-	// LevelWallMS is the wall time per DAG level (leaf level first),
-	// summed across fixpoint rounds.
-	LevelWallMS []float64 `json:"level_wall_ms,omitempty"`
 }
 
 const (
 	parallelBenchRounds = 3
-	// parallelModelRounds is higher than the timed-run count: the model
-	// takes element-wise minima, and more rounds tighten them.
-	parallelModelRounds = 5
 	// parallelBenchChunks splits the workload finer than -edit-loop
 	// does: with ~2x files per worker at the widest configuration the
-	// longest single file stops dominating a shard (span < work/w).
+	// longest single file stops dominating a shard.
 	parallelBenchChunks = 16
 )
 
@@ -158,29 +87,8 @@ func runParallelBench(path string, seed int64, pkgs []*workloads.Package) error 
 		Rounds:   parallelBenchRounds,
 		HostCPUs: runtime.NumCPU(),
 	}
-	maxWorkers := 0
-	for _, w := range parallelBenchWorkers {
-		if w > maxWorkers {
-			maxWorkers = w
-		}
-	}
-	if doc.HostCPUs < maxWorkers {
-		doc.Underprovisioned = true
-		fmt.Fprintf(os.Stderr,
-			"regionbench: warning: host has %d CPUs but -parallel-bench measures up to %d workers; "+
-				"measured speedups are underprovisioned — read the model block instead\n",
-			doc.HostCPUs, maxWorkers)
-	}
-	// Measure the model's work/span components first, while the process
-	// heap is still small — after the timed sweep the garbage collector
-	// adds several ms of noise to every serial round.
-	model, err := measureModel(sources)
-	if err != nil {
-		return fmt.Errorf("scaling model: %w", err)
-	}
 
 	ctx := context.Background()
-	restMS := -1.0
 	for _, backend := range []core.Backend{core.ExplicitBackend, core.BDDBackend} {
 		pb := parallelBackend{ReportsIdentical: true}
 		if backend == core.BDDBackend {
@@ -204,22 +112,6 @@ func runParallelBench(path string, seed int64, pkgs []*workloads.Package) error 
 				}
 				run.RunsMS = append(run.RunsMS, ms(time.Since(t0)))
 				rep = stableReportJSON(a.Report)
-				if run.Solver == nil && a.Ptr != nil && a.Ptr.Sched != nil {
-					run.Solver = newSolverSched(a)
-				}
-				if backend == core.ExplicitBackend && workers == 1 {
-					rs := 0.0
-					for _, p := range a.Report.Stats.Phases {
-						switch p.Name {
-						case "parse", "check", "lower":
-						default:
-							rs += ms(p.Time)
-						}
-					}
-					if restMS < 0 || rs < restMS {
-						restMS = rs
-					}
-				}
 			}
 			run.TimeMS = medianMS(run.RunsMS)
 			if baseline == "" {
@@ -240,9 +132,6 @@ func runParallelBench(path string, seed int64, pkgs []*workloads.Package) error 
 		doc.Backends = append(doc.Backends, pb)
 	}
 
-	finishModel(model, doc.Backends[0].Runs[0].TimeMS, restMS)
-	doc.Model = model
-
 	if path != "" {
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
@@ -259,144 +148,7 @@ func runParallelBench(path string, seed int64, pkgs []*workloads.Package) error 
 		fmt.Printf("  %-8s speedup(4w) %.2fx, reports identical: %v\n",
 			pb.Backend, pb.Speedup4W, pb.ReportsIdentical)
 	}
-	for _, pr := range doc.Model.Projected {
-		fmt.Printf("  model    workers=%d  %8.1fms  (%.2fx projected)\n", pr.Workers, pr.TimeMS, pr.Speedup)
-	}
 	return nil
-}
-
-// measureModel runs the sharded front-end stages serially with
-// per-file timing and builds the Brent-bound projection against the
-// measured workers=1 baseline. The stage costs are element-wise minima
-// over several rounds: noise on a loaded host only ever inflates a
-// wall, so the minimum is the best estimate of the true cost.
-func measureModel(sources map[string]string) (*parallelModel, error) {
-	m := &parallelModel{}
-	for r := 0; r < parallelModelRounds; r++ {
-		round, err := measureModelRound(sources)
-		if err != nil {
-			return nil, err
-		}
-		if r == 0 {
-			*m = *round
-			continue
-		}
-		minInto(&m.ParseWorkMS, round.ParseWorkMS)
-		minInto(&m.ParseSpanMS, round.ParseSpanMS)
-		minInto(&m.DeclMS, round.DeclMS)
-		minInto(&m.BodyWorkMS, round.BodyWorkMS)
-		minInto(&m.BodySpanMS, round.BodySpanMS)
-		minInto(&m.LowerWorkMS, round.LowerWorkMS)
-		minInto(&m.LowerSpanMS, round.LowerSpanMS)
-		minInto(&m.LinkMS, round.LinkMS)
-	}
-	return m, nil
-}
-
-// finishModel folds in the sequential back-half cost and computes the
-// Brent projections.
-func finishModel(m *parallelModel, baselineMS, restMS float64) {
-	m.BaselineMS = baselineMS
-	if restMS > 0 {
-		m.RestMS = restMS
-	}
-	m.T1MS = m.ParseWorkMS + m.DeclMS + m.BodyWorkMS + m.LowerWorkMS + m.LinkMS + m.RestMS
-
-	brent := func(work, span float64, w int) float64 {
-		t := work / float64(w)
-		if t < span {
-			t = span
-		}
-		return t
-	}
-	for _, w := range parallelBenchWorkers {
-		t := m.RestMS + m.DeclMS + m.LinkMS +
-			brent(m.ParseWorkMS, m.ParseSpanMS, w) +
-			brent(m.BodyWorkMS, m.BodySpanMS, w) +
-			brent(m.LowerWorkMS, m.LowerSpanMS, w)
-		pr := projectedRun{Workers: w, TimeMS: t}
-		if t > 0 {
-			pr.Speedup = m.T1MS / t
-		}
-		m.Projected = append(m.Projected, pr)
-	}
-}
-
-func minInto(dst *float64, v float64) {
-	if v < *dst {
-		*dst = v
-	}
-}
-
-func measureModelRound(sources map[string]string) (*parallelModel, error) {
-	paths := make([]string, 0, len(sources))
-	for p := range sources {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-
-	m := &parallelModel{}
-	runtime.GC()
-	files := make([]*cminor.File, len(paths))
-	for i, p := range paths {
-		t0 := time.Now()
-		f, errs := cminor.Parse(p, sources[p])
-		if len(errs) != 0 {
-			return nil, fmt.Errorf("parse %s: %v", p, errs[0])
-		}
-		d := ms(time.Since(t0))
-		m.ParseWorkMS += d
-		if d > m.ParseSpanMS {
-			m.ParseSpanMS = d
-		}
-		files[i] = f
-	}
-
-	info, sched := cminor.CheckParallelSched(1, files...)
-	if len(info.Errors) != 0 {
-		return nil, fmt.Errorf("check: %v", info.Errors[0])
-	}
-	if sched.FellBack {
-		return nil, fmt.Errorf("check: sharded pass fell back to sequential on the benchmark workload")
-	}
-	m.DeclMS = ms(sched.DeclWall)
-	for _, d := range sched.BodyWall {
-		w := ms(d)
-		m.BodyWorkMS += w
-		if w > m.BodySpanMS {
-			m.BodySpanMS = w
-		}
-	}
-
-	frags := make([]*ir.Fragment, len(files))
-	for i, f := range files {
-		t0 := time.Now()
-		frags[i] = ir.LowerFile(info, f)
-		d := ms(time.Since(t0))
-		m.LowerWorkMS += d
-		if d > m.LowerSpanMS {
-			m.LowerSpanMS = d
-		}
-	}
-	runtime.GC() // keep lowering garbage out of the link measurement
-	t0 := time.Now()
-	ir.Link(info, frags)
-	m.LinkMS = ms(time.Since(t0))
-	return m, nil
-}
-
-func newSolverSched(a *core.Analysis) *solverSched {
-	sched := a.Ptr.Sched
-	ss := &solverSched{
-		Workers: sched.Workers,
-		Comps:   sched.Comps,
-		Levels:  sched.Levels,
-		Tasks:   sched.Tasks,
-	}
-	for _, d := range sched.LevelWall {
-		ss.LevelWallMS = append(ss.LevelWallMS, ms(d))
-	}
-	return ss
 }
 
 func medianMS(runs []float64) float64 {

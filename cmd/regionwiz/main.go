@@ -47,13 +47,13 @@
 //	                   inconsistent.
 //	-refine            enable the def-use (Figure 5(b)) refinement
 //	-jobs N            analyze N file sets concurrently (default GOMAXPROCS)
-//	-solver-workers N  shard each analysis across N workers (0 or 1 =
+//	-solver-workers N  shard each analysis's front end (parse, check,
+//	                   lower) per file across N workers (0 or 1 =
 //	                   sequential; reports are identical either way)
 //	-bdd-node-size N   initial BDD node-table capacity for -backend bdd
 //	-bdd-cache-ratio N BDD node-table slots per op-cache slot
 //	-bdd-gc            enable BDD kernel mark-and-sweep GC
 //	-bdd-gc-threshold N  minimum live nodes before a collection runs
-//	-bdd-reorder       enable sifting-based BDD variable reordering
 //	-timeout D         abort the whole run after D (e.g. 30s, 5m)
 //	-watch             poll the arguments and re-analyze on change,
 //	                   printing only the warning diff; unchanged files
@@ -107,12 +107,11 @@ func run() int {
 	querySel := flag.String("query", "", "demand pair query \"src,dst\" (allocation sites as file:line or file:line:col) instead of a full report")
 	refine := flag.Bool("refine", false, "enable the def-use (Figure 5(b)) refinement")
 	jobs := flag.Int("jobs", 0, "number of file sets analyzed concurrently (0 = GOMAXPROCS)")
-	solverWorkers := flag.Int("solver-workers", 0, "shard each analysis across this many workers (0 or 1 = sequential; reports are identical)")
+	solverWorkers := flag.Int("solver-workers", 0, "shard each analysis's front end (parse, check, lower) per file across this many workers (0 or 1 = sequential; reports are identical)")
 	bddNodeSize := flag.Int("bdd-node-size", 0, "initial BDD node-table capacity for -backend bdd (0 = kernel default)")
 	bddCacheRatio := flag.Int("bdd-cache-ratio", 0, "BDD node-table slots per op-cache slot (0 = kernel default)")
 	bddGC := flag.Bool("bdd-gc", false, "enable BDD kernel mark-and-sweep GC at solver safe points")
 	bddGCThreshold := flag.Int("bdd-gc-threshold", 0, "minimum live BDD nodes before a pressured collection runs (0 = kernel default)")
-	bddReorder := flag.Bool("bdd-reorder", false, "enable sifting-based BDD variable reordering between datalog strata")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (0 = no limit)")
 	phaseStats := flag.Bool("phase-stats", false, "print the per-phase pipeline cost table")
 	watch := flag.Bool("watch", false, "re-analyze on file change, printing only the warning diff")
@@ -157,7 +156,6 @@ func run() int {
 	opts.Solver.BDD.CacheRatio = *bddCacheRatio
 	opts.Solver.BDD.GC = *bddGC
 	opts.Solver.BDD.GCThreshold = *bddGCThreshold
-	opts.Solver.BDD.Reorder = *bddReorder
 	if *entries != "" {
 		opts.Entries = strings.Split(*entries, ",")
 	}

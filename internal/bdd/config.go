@@ -34,11 +34,6 @@ type Config struct {
 	// pressured collection is skipped (sweeping a tiny table buys
 	// nothing). 0 means DefaultGCThreshold. Ignored unless GC is set.
 	GCThreshold int
-	// Reorder enables sifting-based dynamic variable reordering at
-	// client-declared safe points (the datalog layer runs it between
-	// strata). Like GC it requires every live node to be pinned, and it
-	// implies a collection first. Off by default.
-	Reorder bool
 }
 
 // Default kernel sizing: an 8K-node table with equal-sized caches

@@ -94,34 +94,16 @@ func (d *Domain) Eq(value uint64) Node {
 		panic(fmt.Sprintf("bdd: value %d out of domain %s [0,%d)", value, d.name, d.size))
 	}
 	r := True
-	// Build bottom-up: deepest level first so mk levels nest. Sorting
-	// by the current order (not variable index) keeps this correct
-	// after a Reorder.
-	idx := append([]int(nil), d.vars...)
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && d.m.var2level[idx[j-1]] > d.m.var2level[idx[j]]; j-- {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-		}
-	}
-	for i := len(idx) - 1; i >= 0; i-- {
-		v := idx[i]
-		bit := d.bitOf(v)
-		if value&(1<<bit) != 0 {
-			r = d.m.mk(d.m.var2level[v], False, r)
+	// Build bottom-up: highest variable index first so mk levels nest
+	// (d.vars is ascending, and bit i of the value is d.vars[i]).
+	for i := len(d.vars) - 1; i >= 0; i-- {
+		if value&(1<<i) != 0 {
+			r = d.m.mk(int32(d.vars[i]), False, r)
 		} else {
-			r = d.m.mk(d.m.var2level[v], r, False)
+			r = d.m.mk(int32(d.vars[i]), r, False)
 		}
 	}
 	return r
-}
-
-func (d *Domain) bitOf(variable int) int {
-	for i, v := range d.vars {
-		if v == variable {
-			return i
-		}
-	}
-	panic("bdd: variable not in domain")
 }
 
 // EqDomain returns the BDD asserting d equals other bit for bit. Both

@@ -6,12 +6,11 @@ import (
 )
 
 // evalNode evaluates n under the assignment bits (bit v is the value
-// of variable v), translating stored levels through the current order
-// so it stays correct after a Reorder.
+// of variable v).
 func evalNode(m *Manager, n Node, bits int) bool {
 	for n != False && n != True {
 		nd := m.nodes[n]
-		if bits>>uint(m.level2var[nd.level])&1 == 1 {
+		if bits>>uint(nd.level)&1 == 1 {
 			n = nd.high
 		} else {
 			n = nd.low
@@ -29,8 +28,8 @@ func truthTable(m *Manager, n Node, numVars int) []bool {
 	return tt
 }
 
-// checkIntegrity verifies every kernel invariant the sweep and the
-// reorder swaps must preserve: reduced unique nodes, strictly
+// checkIntegrity verifies every kernel invariant the sweep must
+// preserve: reduced unique nodes, strictly
 // increasing levels, no references into freed slots, an exact
 // freelist, and every live node findable on its hash chain.
 func checkIntegrity(t *testing.T, m *Manager) {
@@ -208,97 +207,4 @@ func TestGCPressure(t *testing.T) {
 		t.Fatal("pinned node lost identity across collection")
 	}
 	checkIntegrity(t, m)
-}
-
-// TestReorderReducesNodes sifts the classic worst-order function
-// OR_i (x_i AND x_{i+n/2}): the natural order needs ~2^(n/2) nodes,
-// any paired order is linear. Sifting must find a large reduction and
-// preserve the function and the pinned handle.
-func TestReorderReducesNodes(t *testing.T) {
-	const half = 6
-	const numVars = 2 * half
-	m := New()
-	m.AddVars(numVars)
-	f := False
-	for i := 0; i < half; i++ {
-		f = m.Or(f, m.And(m.Var(i), m.Var(i+half)))
-	}
-	m.Ref(f)
-	want := truthTable(m, f, numVars)
-
-	m.Collect()
-	before := m.NumNodes()
-	swaps := m.Reorder()
-	after := m.NumNodes()
-	if swaps == 0 {
-		t.Fatal("Reorder performed no swaps on a badly ordered function")
-	}
-	if after >= before/2 {
-		t.Fatalf("Reorder: %d -> %d live nodes, want at least a 2x reduction", before, after)
-	}
-	checkIntegrity(t, m)
-	for bits := range want {
-		if evalNode(m, f, bits) != want[bits] {
-			t.Fatalf("reordered function differs at assignment %b", bits)
-		}
-	}
-	if st := m.Stats(); st.Reorders != 1 || st.ReorderSwaps == 0 {
-		t.Fatalf("reorder counters not recorded: %+v", st)
-	}
-
-	// The kernel must keep working in the new order: rebuilding the
-	// same function must reproduce the identical (canonical) node.
-	g := False
-	for i := 0; i < half; i++ {
-		g = m.Or(g, m.And(m.Var(i), m.Var(i+half)))
-	}
-	if g != f {
-		t.Fatalf("rebuilding the pinned function found node %d, want %d", g, f)
-	}
-	checkIntegrity(t, m)
-}
-
-// TestReorderDomains checks the finite-domain layer against a reorder:
-// Eq/Cube/AllSat/SatCount must respect the permuted order.
-func TestReorderDomains(t *testing.T) {
-	m := New()
-	ds := m.NewInterleavedDomains([]string{"a", "b"}, []uint64{16, 16})
-	a, b := ds[0], ds[1]
-	rel := False
-	pairs := [][2]uint64{{1, 3}, {7, 7}, {12, 0}, {15, 9}, {4, 11}}
-	for _, p := range pairs {
-		rel = m.Or(rel, m.And(a.Eq(p[0]), b.Eq(p[1])))
-	}
-	m.Ref(rel)
-	m.Reorder()
-	checkIntegrity(t, m)
-
-	for _, p := range pairs {
-		tup := m.And(a.Eq(p[0]), b.Eq(p[1]))
-		if m.And(rel, tup) != tup {
-			t.Fatalf("tuple (%d,%d) lost after reorder", p[0], p[1])
-		}
-	}
-	if got, want := m.SatCount(rel), float64(len(pairs)); got != want {
-		t.Fatalf("SatCount after reorder = %v, want %v", got, want)
-	}
-	vars := append(append([]int(nil), a.Vars()...), b.Vars()...)
-	for i := 1; i < len(vars); i++ {
-		for j := i; j > 0 && vars[j-1] > vars[j]; j-- {
-			vars[j-1], vars[j] = vars[j], vars[j-1]
-		}
-	}
-	got := make(map[[2]uint64]bool)
-	m.AllSat(rel, vars, func(as []bool) bool {
-		got[[2]uint64{a.Decode(vars, as), b.Decode(vars, as)}] = true
-		return true
-	})
-	if len(got) != len(pairs) {
-		t.Fatalf("AllSat after reorder enumerated %d tuples, want %d: %v", len(got), len(pairs), got)
-	}
-	for _, p := range pairs {
-		if !got[[2]uint64{p[0], p[1]}] {
-			t.Fatalf("AllSat after reorder missed tuple %v", p)
-		}
-	}
 }

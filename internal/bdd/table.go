@@ -129,32 +129,3 @@ func (m *Manager) grow() {
 		m.OnEvent("grow", m.NumNodes(), len(m.nodes))
 	}
 }
-
-// unhash removes node i from its bucket's collision chain (the bucket
-// derived from the node's current contents). Used by the sweep and the
-// reorder swap, which mutate node contents in place.
-func (m *Manager) unhash(i Node) {
-	nd := &m.nodes[i]
-	b := &m.nodes[hash3(nd.level, nd.low, nd.high)&m.mask]
-	if b.hash == int32(i) {
-		b.hash = nd.next
-		nd.next = 0
-		return
-	}
-	for j := b.hash; j != 0; j = m.nodes[j].next {
-		if m.nodes[j].next == int32(i) {
-			m.nodes[j].next = nd.next
-			nd.next = 0
-			return
-		}
-	}
-	panic("bdd: unhash: node not on its chain")
-}
-
-// rehash pushes node i onto the bucket chain for its current contents.
-func (m *Manager) rehash(i Node) {
-	nd := &m.nodes[i]
-	b := &m.nodes[hash3(nd.level, nd.low, nd.high)&m.mask]
-	nd.next = b.hash
-	b.hash = int32(i)
-}

@@ -160,7 +160,9 @@ func (lx *Lexer) Next() Token {
 		var v int64
 		if lx.peekByte() == '\\' {
 			lx.advance()
-			v = int64(unescape(lx.advance()))
+			if lx.off < len(lx.src) {
+				v = int64(unescape(lx.advance()))
+			}
 		} else if lx.off < len(lx.src) {
 			v = int64(lx.advance())
 		}

@@ -105,12 +105,16 @@ func TestLexPositions(t *testing.T) {
 }
 
 func TestLexUnterminated(t *testing.T) {
-	_, errs := Tokenize("t.c", `"abc`)
-	if len(errs) == 0 {
-		t.Fatal("unterminated string not diagnosed")
-	}
-	_, errs = Tokenize("t.c", "/* never closed")
-	if len(errs) == 0 {
-		t.Fatal("unterminated comment not diagnosed")
+	for _, src := range []string{
+		`"abc`,
+		"/* never closed",
+		`'`,
+		`'a`,
+		`'\`, // escape at EOF: must not read past the end
+		"int main(){ return '\\",
+	} {
+		if _, errs := Tokenize("t.c", src); len(errs) == 0 {
+			t.Errorf("%q: unterminated literal or comment not diagnosed", src)
+		}
 	}
 }

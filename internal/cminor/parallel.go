@@ -1,27 +1,6 @@
 package cminor
 
-import (
-	"sync"
-	"time"
-)
-
-// CheckSched reports how a CheckParallelSched run spent its time: the
-// sequential declaration passes versus the per-file body shards. Shard
-// walls are meaningful as work/span inputs only when the shards ran
-// serially (workers=1) — concurrent shards on a loaded machine include
-// scheduler wait in their walls.
-type CheckSched struct {
-	Workers int
-	// DeclWall is the sequential passes 1-3 (declarations, layout,
-	// signatures).
-	DeclWall time.Duration
-	// BodyWall holds one entry per file: that shard's pass-4 wall.
-	BodyWall []time.Duration
-	// FellBack is true when the sharded attempt was discarded for a
-	// plain sequential Check (body type defs, errors, or environment
-	// growth); the other fields are then zero.
-	FellBack bool
-}
+import "sync"
 
 // CheckParallel is Check with pass 4 (function bodies) sharded per
 // file across a bounded worker pool. It returns exactly what Check
@@ -54,45 +33,40 @@ func CheckParallel(workers int, files ...*File) *Info {
 	if workers <= 1 || len(files) <= 1 {
 		return Check(files...)
 	}
-	info, _ := CheckParallelSched(workers, files...)
-	return info
-}
-
-// CheckParallelSched is CheckParallel returning the time breakdown
-// alongside the Info. Unlike CheckParallel it accepts workers=1 —
-// the shards then run serially through the same code path, which makes
-// their walls exact work/span measurements for scaling models.
-func CheckParallelSched(workers int, files ...*File) (*Info, *CheckSched) {
-	sched := &CheckSched{Workers: workers, FellBack: true}
-	if workers < 1 || len(files) <= 1 {
-		return Check(files...), sched
-	}
 	for _, f := range files {
 		if HasBodyTypeDefs(f) {
-			return Check(files...), sched
+			return Check(files...)
 		}
 	}
 	base := newChecker()
-	t0 := time.Now()
 	base.declPasses(files)
-	declWall := time.Since(t0)
 	if len(base.info.Errors) != 0 {
 		// Declaration errors can interleave with body errors in the
 		// sequential list; don't try to reproduce that order piecewise.
-		return Check(files...), sched
+		return Check(files...)
 	}
 
 	shards := make([]*checker, len(files))
-	bodyWall := make([]time.Duration, len(files))
 	if workers > len(files) {
 		workers = len(files)
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
+	var shardPanic any
+	var panicOnce sync.Once
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				// Carry a shard's panic to the caller (re-raised after
+				// Wait), and keep draining so the sender never blocks.
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { shardPanic = r })
+					for range next {
+					}
+				}
+			}()
 			for i := range next {
 				sc := &checker{
 					info: &Info{
@@ -109,9 +83,7 @@ func CheckParallelSched(workers int, files ...*File) (*Info, *CheckSched) {
 					},
 					laying: make(map[string]bool),
 				}
-				ts := time.Now()
 				sc.bodyPass(files[i : i+1])
-				bodyWall[i] = time.Since(ts)
 				shards[i] = sc
 			}
 		}()
@@ -121,15 +93,15 @@ func CheckParallelSched(workers int, files ...*File) (*Info, *CheckSched) {
 	}
 	close(next)
 	wg.Wait()
+	if shardPanic != nil {
+		panic(shardPanic)
+	}
 
 	for _, sc := range shards {
 		if len(sc.info.Errors) != 0 || shardGrewEnv(base.info, sc.info) {
-			return Check(files...), sched
+			return Check(files...)
 		}
 	}
-	sched.FellBack = false
-	sched.DeclWall = declWall
-	sched.BodyWall = bodyWall
 	for _, sc := range shards {
 		for k, v := range sc.info.Types {
 			base.info.Types[k] = v
@@ -147,7 +119,7 @@ func CheckParallelSched(workers int, files ...*File) (*Info, *CheckSched) {
 			base.info.FuncInfo[k] = v
 		}
 	}
-	return base.info, sched
+	return base.info
 }
 
 // shardGrewEnv reports whether body checking added any name to the

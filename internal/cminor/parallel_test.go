@@ -153,3 +153,23 @@ func TestCheckParallelSingleFile(t *testing.T) {
 	}
 	infosEqual(t, Check(f), CheckParallel(4, f))
 }
+
+// TestCheckParallelShardPanicReachesCaller: a panic inside a body
+// shard must be re-raised on the calling goroutine, where the caller's
+// recover can see it, instead of killing the process.
+func TestCheckParallelShardPanicReachesCaller(t *testing.T) {
+	files := checkParallelFiles(t)
+	// An expression statement without an expression is unreachable
+	// from Parse; the body pass dereferences it inside main.c's shard.
+	for _, d := range files[2].Decls {
+		if fd, ok := d.(*FuncDecl); ok && fd.Name == "main" {
+			fd.Body.Stmts = append(fd.Body.Stmts, &ExprStmt{})
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("shard panic was not re-raised on the caller")
+		}
+	}()
+	CheckParallel(2, files...)
+}

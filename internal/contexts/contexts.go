@@ -17,6 +17,8 @@
 package contexts
 
 import (
+	"sort"
+
 	"repro/internal/callgraph"
 	"repro/internal/ir"
 )
@@ -38,11 +40,6 @@ type Numbering struct {
 	SCC map[string]int
 	// Order lists component IDs in topological order (callers first).
 	Order [][]string
-	// DAG is the condensed call graph the numbering was computed over,
-	// including the leaf-to-root level schedule the parallel pointer
-	// solver consumes. SCC and Order are views of it, kept for
-	// compatibility.
-	DAG *callgraph.SCCGraph
 	// Count is the number of contexts of each reachable function,
 	// after capping.
 	Count map[string]uint64
@@ -97,16 +94,62 @@ func (n *Numbering) callEdges(fn string) []Edge {
 	return out
 }
 
-// computeSCCs condenses the reachable call graph. The Tarjan run
-// lives in callgraph.Condense now — one condensation shared by the
-// numbering and the parallel solver's DAG schedule — with the same
-// traversal order (and so the same component numbering) this package
-// used when it owned the algorithm.
+// computeSCCs runs Tarjan's algorithm over the reachable call graph.
 func (n *Numbering) computeSCCs(funcs []string) {
-	n.DAG = n.G.Condense()
-	n.Order = n.DAG.Comps
-	for fn, id := range n.DAG.CompOf {
-		n.SCC[fn] = id
+	index := make(map[string]int)
+	low := make(map[string]int)
+	onStack := make(map[string]bool)
+	var stack []string
+	next := 0
+	var comps [][]string
+
+	var strongConnect func(fn string)
+	strongConnect = func(fn string) {
+		index[fn] = next
+		low[fn] = next
+		next++
+		stack = append(stack, fn)
+		onStack[fn] = true
+		for _, e := range n.callEdges(fn) {
+			w := e.Callee
+			if _, seen := index[w]; !seen {
+				strongConnect(w)
+				if low[w] < low[fn] {
+					low[fn] = low[w]
+				}
+			} else if onStack[w] && index[w] < low[fn] {
+				low[fn] = index[w]
+			}
+		}
+		if low[fn] == index[fn] {
+			var comp []string
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				comp = append(comp, w)
+				if w == fn {
+					break
+				}
+			}
+			sort.Strings(comp)
+			comps = append(comps, comp)
+		}
+	}
+	for _, fn := range funcs {
+		if _, seen := index[fn]; !seen {
+			strongConnect(fn)
+		}
+	}
+	// Tarjan emits components in reverse topological order.
+	for i, j := 0, len(comps)-1; i < j; i, j = i+1, j-1 {
+		comps[i], comps[j] = comps[j], comps[i]
+	}
+	n.Order = comps
+	for id, comp := range comps {
+		for _, fn := range comp {
+			n.SCC[fn] = id
+		}
 	}
 }
 

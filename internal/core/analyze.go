@@ -38,12 +38,6 @@ type Options struct {
 	// HeapCloning keys abstract objects by (context, site); default
 	// true (disabling is the Section 7 ablation).
 	HeapCloning *bool
-	// Backend selects the pair-computation engine.
-	//
-	// Deprecated: set Solver.Backend. Normalize folds this alias into
-	// Solver (Solver wins when both are set) and mirrors the resolved
-	// value back, so the two spellings fingerprint identically.
-	Backend Backend
 	// DefUseRefinement enables the Section 4.3 / Figure 5(b)
 	// refinement the paper defers to future work: subregion and
 	// ownership are additionally tracked through the variables they
@@ -85,22 +79,6 @@ type Options struct {
 	// (logging, benchmarking, progress reporting). Phase metrics are
 	// additionally recorded in Report.Stats.Phases regardless.
 	Observer pipeline.Observer[*Analysis]
-	// BDD sizes the BDD kernel's node table and operation caches when
-	// the BDD backend runs (the zero value selects the kernel
-	// defaults). Like Observer it cannot change analysis results —
-	// only time and memory — so it is excluded from Fingerprint.
-	//
-	// Deprecated: set Solver.BDD. Normalize folds this alias into
-	// Solver (Solver wins when both are set) and mirrors the resolved
-	// value back.
-	BDD bdd.Config
-	// MaxRounds bounds the pointer fixpoint's iteration count.
-	//
-	// Deprecated: set Solver.MaxRounds. Normalize folds this alias
-	// into Solver (Solver wins when both are set) and mirrors the
-	// resolved value back; a conflicting nonzero pair is a config
-	// error at every Analyze* boundary.
-	MaxRounds int
 	// Solver groups how the analysis is solved: worker count, fixpoint
 	// budget, backend, and BDD sizing. See SolverOptions.
 	Solver SolverOptions
@@ -122,13 +100,7 @@ const (
 )
 
 // prepare normalizes and validates options at an Analyze* boundary.
-// Alias conflicts are checked first, on the raw options: Normalize
-// folds the deprecated spellings into Solver and the disagreement
-// would vanish silently.
 func (o Options) prepare() (Options, error) {
-	if err := o.AliasConflicts(); err != nil {
-		return o, err
-	}
 	o = o.Normalize()
 	if err := o.Validate(); err != nil {
 		return o, err
@@ -293,8 +265,6 @@ func (a *Analysis) pointerConfig() pointer.Config {
 		EntryParams:  len(a.Opts.Entries) > 0,
 		MaxRounds:    a.Opts.Solver.MaxRounds,
 		PtsLimit:     a.Opts.Solver.PtsLimit,
-		Workers:      a.Opts.Solver.Workers,
-		BDD:          a.Opts.Solver.BDD,
 	}
 	for _, fn := range a.Opts.ExtraAllocFns {
 		cfg.AllocFns[fn] = true

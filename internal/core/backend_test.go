@@ -56,8 +56,8 @@ int main(void) {
 func TestBackendsAgree(t *testing.T) {
 	for i, src := range crossCheckSources {
 		t.Run(fmt.Sprintf("src%d", i), func(t *testing.T) {
-			exp := runOpts(t, Options{Backend: ExplicitBackend}, src)
-			bdd := runOpts(t, Options{Backend: BDDBackend}, src)
+			exp := runOpts(t, Options{Solver: SolverOptions{Backend: ExplicitBackend}}, src)
+			bdd := runOpts(t, Options{Solver: SolverOptions{Backend: BDDBackend}}, src)
 			expPairs := exp.computeObjectPairs(context.Background())
 			bddPairs := bdd.computeObjectPairsBDD(context.Background())
 			if !reflect.DeepEqual(expPairs, bddPairs) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"repro/internal/datalog"
 	"repro/internal/trace"
@@ -22,17 +21,6 @@ import (
 //
 // The result is identical to the explicit backend (asserted by tests);
 // the two differ only in how the relations are stored and joined.
-//
-// With Solver.Workers > 1 the strata are split across two BDD
-// managers and the independent parts run concurrently: manager A
-// solves the region strata (leq closure + regionPair complement)
-// while manager B loads the much larger own/access relations; the
-// regionPair result is then translated into B's encoding by
-// deterministic tuple enumeration and the verification join runs on
-// B. Each manager is single-owner throughout — the kernel is never
-// shared between goroutines — and both the tuple sets and the
-// enumeration order are schedule-independent, so the object pairs (and
-// so the report) are byte-identical to the single-manager solve.
 func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	if len(a.AccessEdges) == 0 {
 		return nil
@@ -46,9 +34,6 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 			offs = append(offs, e.Off)
 		}
 	}
-	if a.Opts.Solver.Workers > 1 {
-		return a.objectPairsBDDSharded(ctx, offIdx, offs)
-	}
 
 	p := datalog.NewProgramConfig(a.Opts.Solver.BDD)
 	if sp := trace.SpanFromContext(ctx); sp != nil {
@@ -56,16 +41,17 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 			sp.Event("bdd_"+kind, trace.Int("nodes", nodes), trace.Int("capacity", capacity))
 		}
 	}
-	rr := a.declareRegionRels(p)
-	or := a.declareObjectRels(p, len(offs))
-	a.loadRegionRels(rr)
-	a.loadObjectRels(or, offIdx)
-	a.solveRegionStrata(ctx, p, rr)
+	rels := a.declareRegionRels(p)
+	a.declareObjectRels(p, &rels, len(offs))
+	a.loadRegionRels(rels)
+	a.loadObjectRels(rels, offIdx)
+	a.solveRegionStrata(ctx, p, rels)
 	// Stratum boundary: all live state is back in relations, so this is
-	// a reorder/GC safe point before the (largest) verification join.
-	p.ReorderIfEnabled()
+	// a GC safe point before the (largest) verification join.
 	p.CollectIfPressured()
-	a.solveObjectStratum(ctx, p, rr.regionPair, or)
+	sctx, s3 := trace.StartSpan(ctx, "pairs.stratum:objectPair")
+	p.Solve(sctx, []*datalog.Rule{objectPairRule(rels)}, 0)
+	s3.End()
 
 	// Expose the engine's final footprint and kernel counters to the
 	// pipeline metrics (the pairs phase reports them as bdd_nodes /
@@ -74,28 +60,20 @@ func (a *Analysis) computeObjectPairsBDD(ctx context.Context) []ObjectPair {
 	a.bddTuples = int64(p.TupleCount())
 	a.bddStats = p.M.Stats()
 
-	return a.collectObjectPairs(or, offs)
+	return a.collectObjectPairs(rels, offs)
 }
 
-// regionRels are the relations of the region strata (manager A's half
-// of the sharded solve).
-type regionRels struct {
+// pairRels are the relations of the three pair strata. The provenance
+// recorder declares only the region half; Explainer.verifyPair only
+// regionPair and the object half.
+type pairRels struct {
 	region, parent, leq, regionPair *datalog.Relation
+	own, access, objectPair         *datalog.Relation
 }
 
-// objectRels are the relations of the verification join (manager B's
-// half).
-type objectRels struct {
-	// regionPair mirrors the region strata's result in this manager's
-	// encoding (the same *Relation on the single-manager path).
-	regionPair  *datalog.Relation
-	own, access *datalog.Relation
-	objectPair  *datalog.Relation
-}
-
-func (a *Analysis) declareRegionRels(p *datalog.Program) regionRels {
+func (a *Analysis) declareRegionRels(p *datalog.Program) pairRels {
 	R := p.Domain("R", uint64(len(a.Regions)))
-	return regionRels{
+	return pairRels{
 		region:     p.Relation("region", R.At(0)),
 		parent:     p.Relation("parent", R.At(0), R.At(1)),
 		leq:        p.Relation("leq", R.At(0), R.At(1)),
@@ -103,30 +81,18 @@ func (a *Analysis) declareRegionRels(p *datalog.Program) regionRels {
 	}
 }
 
-func (a *Analysis) declareObjectRels(p *datalog.Program, nOffs int) objectRels {
-	// Lookup instead of redeclaring R on the single-manager path.
-	var R *datalog.LogicalDomain
-	if reg := p.Lookup("region"); reg != nil {
-		R = reg.Attrs()[0].Dom
-	} else {
-		R = p.Domain("R", uint64(len(a.Regions)))
-	}
+// declareObjectRels adds the verification join's relations to rels,
+// over the region domain its region strata already declared.
+func (a *Analysis) declareObjectRels(p *datalog.Program, rels *pairRels, nOffs int) {
+	R := rels.region.Attrs()[0].Dom
 	O := p.Domain("O", uint64(len(a.Ptr.Objects)))
 	N := p.Domain("N", uint64(nOffs))
-	or := objectRels{
-		own:        p.Relation("own", R.At(0), O.At(0)),
-		access:     p.Relation("access", O.At(0), N.At(0), O.At(1)),
-		objectPair: p.Relation("objectPair", O.At(0), N.At(0), O.At(1)),
-	}
-	if reg := p.Lookup("regionPair"); reg != nil {
-		or.regionPair = reg
-	} else {
-		or.regionPair = p.Relation("regionPair", R.At(0), R.At(1))
-	}
-	return or
+	rels.own = p.Relation("own", R.At(0), O.At(0))
+	rels.access = p.Relation("access", O.At(0), N.At(0), O.At(1))
+	rels.objectPair = p.Relation("objectPair", O.At(0), N.At(0), O.At(1))
 }
 
-func (a *Analysis) loadRegionRels(rr regionRels) {
+func (a *Analysis) loadRegionRels(rr pairRels) {
 	for i := range a.Regions {
 		rr.region.Add(uint64(i))
 		if i != RootRegion {
@@ -135,7 +101,7 @@ func (a *Analysis) loadRegionRels(rr regionRels) {
 	}
 }
 
-func (a *Analysis) loadObjectRels(or objectRels, offIdx map[int64]uint64) {
+func (a *Analysis) loadObjectRels(or pairRels, offIdx map[int64]uint64) {
 	// φ⁼: regions own themselves (as objects) plus their allocations.
 	for i := 1; i < len(a.Regions); i++ {
 		if a.Regions[i].Obj >= 0 {
@@ -169,7 +135,7 @@ func (a *Analysis) loadObjectRels(or objectRels, offIdx map[int64]uint64) {
 
 // solveRegionStrata runs strata 1 and 2 — the subregion closure and
 // its stratified complement.
-func (a *Analysis) solveRegionStrata(ctx context.Context, p *datalog.Program, rr regionRels) {
+func (a *Analysis) solveRegionStrata(ctx context.Context, p *datalog.Program, rr pairRels) {
 	// Stratum 1: the subregion partial order (semi-naive, as bddbddb
 	// evaluates recursive rules). Each stratum gets its own span so
 	// traces show which of the three fixpoints dominates.
@@ -182,14 +148,7 @@ func (a *Analysis) solveRegionStrata(ctx context.Context, p *datalog.Program, rr
 	s2.End()
 }
 
-// solveObjectStratum runs stratum 3, the verification join.
-func (a *Analysis) solveObjectStratum(ctx context.Context, p *datalog.Program, regionPair *datalog.Relation, or objectRels) {
-	sctx, s3 := trace.StartSpan(ctx, "pairs.stratum:objectPair")
-	p.Solve(sctx, []*datalog.Rule{objectPairRule(regionPair, or)}, 0)
-	s3.End()
-}
-
-func (a *Analysis) collectObjectPairs(or objectRels, offs []int64) []ObjectPair {
+func (a *Analysis) collectObjectPairs(or pairRels, offs []int64) []ObjectPair {
 	var out []ObjectPair
 	or.objectPair.Each(func(t []uint64) bool {
 		e := AccessEdge{Src: int(t[0]), Off: offs[t[1]], Dst: int(t[2])}
@@ -200,74 +159,4 @@ func (a *Analysis) collectObjectPairs(or objectRels, offs []int64) []ObjectPair 
 	})
 	sortPairs(out)
 	return out
-}
-
-// objectPairsBDDSharded is the Workers > 1 path: two single-owner BDD
-// managers working concurrently, joined by deterministic tuple
-// translation. See computeObjectPairsBDD for the argument that the
-// result is identical.
-func (a *Analysis) objectPairsBDDSharded(ctx context.Context, offIdx map[int64]uint64, offs []int64) []ObjectPair {
-	pA := datalog.NewProgramConfig(a.Opts.Solver.BDD)
-	pB := datalog.NewProgramConfig(a.Opts.Solver.BDD)
-	if sp := trace.SpanFromContext(ctx); sp != nil {
-		// The tracer is mutex-protected, so both managers may emit
-		// concurrently; the shard tag says which one grew.
-		for tag, p := range map[string]*datalog.Program{"A": pA, "B": pB} {
-			tag := tag
-			p.M.OnEvent = func(kind string, nodes, capacity int) {
-				sp.Event("bdd_"+kind,
-					trace.Int("nodes", nodes), trace.Int("capacity", capacity),
-					trace.Str("shard", tag))
-			}
-		}
-	}
-	rr := a.declareRegionRels(pA)
-	or := a.declareObjectRels(pB, len(offs))
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		a.loadRegionRels(rr)
-		a.solveRegionStrata(ctx, pA, rr)
-	}()
-	go func() {
-		defer wg.Done()
-		a.loadObjectRels(or, offIdx)
-	}()
-	wg.Wait()
-
-	// Join point: translate the regionPair summary from manager A's
-	// encoding to manager B's. Each enumerates tuples in a fixed
-	// (value-sorted) order, so the copy is deterministic.
-	rr.regionPair.Each(func(t []uint64) bool {
-		or.regionPair.Add(t...)
-		return true
-	})
-	// Same stratum-boundary safe point as the single-manager path, on
-	// the manager that runs the verification join.
-	pB.ReorderIfEnabled()
-	pB.CollectIfPressured()
-	a.solveObjectStratum(ctx, pB, or.regionPair, or)
-
-	// The footprint/counter outputs sum both managers. (They are
-	// phase metrics, not analysis results: the canonical report never
-	// includes them, and they legitimately differ from the
-	// single-manager solve's.)
-	a.bddNodes = int64(pA.NodeCount() + pB.NodeCount())
-	a.bddTuples = int64(pA.TupleCount() + pB.TupleCount())
-	sA, sB := pA.M.Stats(), pB.M.Stats()
-	a.bddStats = sA
-	a.bddStats.CacheHits += sB.CacheHits
-	a.bddStats.CacheMisses += sB.CacheMisses
-	a.bddStats.UniqueCollisions += sB.UniqueCollisions
-	a.bddStats.Grows += sB.Grows
-	a.bddStats.PeakNodes += sB.PeakNodes
-	a.bddStats.Collections += sB.Collections
-	a.bddStats.NodesFreed += sB.NodesFreed
-	a.bddStats.SweepWallNS += sB.SweepWallNS
-	a.bddStats.Reorders += sB.Reorders
-	a.bddStats.ReorderSwaps += sB.ReorderSwaps
-
-	return a.collectObjectPairs(or, offs)
 }

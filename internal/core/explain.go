@@ -63,7 +63,7 @@ var ruleText = map[string]string{
 // regionLeqRules builds stratum 1, the subregion closure. The same
 // values drive the BDD solve, the provenance recorder, and the replay
 // engine, so all three derive identical tuples.
-func regionLeqRules(rr regionRels) []*datalog.Rule {
+func regionLeqRules(rr pairRels) []*datalog.Rule {
 	return []*datalog.Rule{
 		datalog.NewRule(datalog.T(rr.leq, "x", "x"), datalog.T(rr.region, "x")),
 		datalog.NewRule(datalog.T(rr.leq, "x", "y"), datalog.T(rr.parent, "x", "y")),
@@ -72,7 +72,7 @@ func regionLeqRules(rr regionRels) []*datalog.Rule {
 }
 
 // regionPairRules builds stratum 2, the stratified complement.
-func regionPairRules(rr regionRels) []*datalog.Rule {
+func regionPairRules(rr pairRels) []*datalog.Rule {
 	return []*datalog.Rule{
 		datalog.NewRule(datalog.T(rr.regionPair, "x", "y"),
 			datalog.T(rr.region, "x"), datalog.T(rr.region, "y"), datalog.N(rr.leq, "x", "y")),
@@ -80,9 +80,9 @@ func regionPairRules(rr regionRels) []*datalog.Rule {
 }
 
 // objectPairRule builds stratum 3, the verification join.
-func objectPairRule(regionPair *datalog.Relation, or objectRels) *datalog.Rule {
+func objectPairRule(or pairRels) *datalog.Rule {
 	return datalog.NewRule(datalog.T(or.objectPair, "o1", "n", "o2"),
-		datalog.T(regionPair, "x", "y"),
+		datalog.T(or.regionPair, "x", "y"),
 		datalog.T(or.own, "x", "o1"),
 		datalog.T(or.own, "y", "o2"),
 		datalog.T(or.access, "o1", "n", "o2"))
@@ -95,7 +95,7 @@ func objectPairRule(regionPair *datalog.Relation, or objectRels) *datalog.Rule {
 type provRecord struct {
 	program *datalog.Program
 	engine  *datalog.Explicit
-	rels    regionRels
+	rels    pairRels
 }
 
 // recordProvenance solves the region strata on the witness-recording
@@ -231,7 +231,7 @@ func (ex *Explainer) verifyPair(p ObjectPair) error {
 	R := op.Domain("R", uint64(len(a.Regions)))
 	O := op.Domain("O", uint64(len(a.Ptr.Objects)))
 	N := op.Domain("N", 1)
-	or := objectRels{
+	or := pairRels{
 		regionPair: op.Relation("regionPair", R.At(0), R.At(1)),
 		own:        op.Relation("own", R.At(0), O.At(0)),
 		access:     op.Relation("access", O.At(0), N.At(0), O.At(1)),
@@ -254,7 +254,7 @@ func (ex *Explainer) verifyPair(p ObjectPair) error {
 		oe.Add(or.own, uint64(ry), uint64(p.Dst))
 	}
 	oe.Add(or.access, uint64(p.Src), 0, uint64(p.Dst))
-	oe.Solve([]*datalog.Rule{objectPairRule(or.regionPair, or)}, 0)
+	oe.Solve([]*datalog.Rule{objectPairRule(or)}, 0)
 	if !oe.Has(or.objectPair, uint64(p.Src), 0, uint64(p.Dst)) {
 		return Errf(ErrInternal, "", "explain: replay diverged: objectPair(%d,%d) not re-derivable from its cone",
 			p.Src, p.Dst)

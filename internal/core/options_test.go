@@ -103,7 +103,7 @@ func TestFingerprint(t *testing.T) {
 		{Entries: []string{"f"}},
 		{ContextCap: 1},
 		{HeapCloning: Bool(false)},
-		{Backend: BDDBackend},
+		{Solver: SolverOptions{Backend: BDDBackend}},
 		{KCFA: 2},
 		{DefUseRefinement: true},
 		{ExtraAllocFns: []string{"my_alloc"}},

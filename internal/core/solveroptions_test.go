@@ -8,47 +8,27 @@ import (
 	"repro/internal/bdd"
 )
 
-// The deprecated top-level solver spellings (Options.Backend,
-// Options.BDD) and the SolverOptions spellings must configure the same
-// analysis: identical fingerprints, and Normalize mirrors whichever
-// side was set into the other.
-
-func TestSolverOptionsFingerprintAliases(t *testing.T) {
-	old := Options{Backend: BDDBackend, BDD: bdd.Config{NodeSize: 1 << 14, CacheRatio: 2}}
-	niu := Options{Solver: SolverOptions{Backend: BDDBackend, BDD: bdd.Config{NodeSize: 1 << 14, CacheRatio: 2}}}
-	if old.Fingerprint() != niu.Fingerprint() {
-		t.Errorf("old and new backend spellings fingerprint differently:\n old %s\n new %s",
-			old.Fingerprint(), niu.Fingerprint())
-	}
-	both := Options{Backend: BDDBackend, Solver: SolverOptions{Backend: BDDBackend}}
-	if both.Fingerprint() != niu.Fingerprint() {
-		t.Errorf("setting both spellings fingerprints differently from setting one")
-	}
-	if def, seq := (Options{}).Fingerprint(), (Options{Solver: SolverOptions{Backend: ExplicitBackend}}).Fingerprint(); def != seq {
-		t.Errorf("explicit ExplicitBackend fingerprints differently from the default")
-	}
-}
-
-func TestSolverOptionsNormalizeMirrors(t *testing.T) {
-	cfg := bdd.Config{NodeSize: 4096}
-
-	n := Options{Solver: SolverOptions{Backend: BDDBackend, BDD: cfg}}.Normalize()
-	if n.Backend != BDDBackend || n.BDD != cfg {
-		t.Errorf("Solver fields did not mirror to deprecated aliases: Backend=%v BDD=%+v", n.Backend, n.BDD)
-	}
-
-	n = Options{Backend: BDDBackend, BDD: cfg}.Normalize()
-	if n.Solver.Backend != BDDBackend || n.Solver.BDD != cfg {
-		t.Errorf("deprecated aliases did not fold into Solver: %+v", n.Solver)
-	}
-
-	// When both are set the new spelling wins.
-	n = Options{
-		Backend: BDDBackend, BDD: bdd.Config{NodeSize: 1},
-		Solver: SolverOptions{Backend: BDDBackend, BDD: cfg},
-	}.Normalize()
-	if n.Solver.BDD != cfg || n.BDD != cfg {
-		t.Errorf("Solver.BDD should win over the deprecated alias: solver=%+v alias=%+v", n.Solver.BDD, n.BDD)
+// TestSolverOptionsFingerprintPinned pins the digests of a spread of
+// Solver settings. They are the result-cache keys of the analysis
+// service, so an options refactor must leave every one unchanged.
+func TestSolverOptionsFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		s    SolverOptions
+		want string
+	}{
+		{SolverOptions{}, "cecf35781c0030af4a979f296b9f951957794b2920c4064034111ca7554665f1"},
+		{SolverOptions{Backend: BDDBackend}, "57a44afa188cd4beb27af44cf0a1045cdbc41c6f2cb8094b4ef8f2a505f303cb"},
+		{SolverOptions{Workers: 4}, "cecf35781c0030af4a979f296b9f951957794b2920c4064034111ca7554665f1"},
+		{SolverOptions{MaxRounds: 3}, "c8c1955bb818577e8bc95220125f70de9d6a835272f9a8d79f69e7c0c1cc15f5"},
+		{SolverOptions{PtsLimit: 2}, "8160e740a4e37ba1487b574875f9ee6e0e8c66fcce67dd6c543572e298098312"},
+		{SolverOptions{Backend: BDDBackend, BDD: bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1}},
+			"57a44afa188cd4beb27af44cf0a1045cdbc41c6f2cb8094b4ef8f2a505f303cb"},
+		{SolverOptions{Backend: BDDBackend, MaxRounds: 2, PtsLimit: 5, Workers: 2},
+			"faa0d08340c2a581ee2a1e0a7a379ee6d2cf1b59d3eddb8aa5658884099a7cc4"},
+	} {
+		if got := (Options{Solver: tc.s}).Fingerprint(); got != tc.want {
+			t.Errorf("Solver %+v: fingerprint %s, want %s", tc.s, got, tc.want)
+		}
 	}
 }
 
@@ -58,7 +38,7 @@ func TestSolverOptionsFingerprintExclusions(t *testing.T) {
 		{Solver: SolverOptions{Workers: 4}},
 		{Solver: SolverOptions{Workers: 16}},
 		{Solver: SolverOptions{BDD: bdd.Config{NodeSize: 1 << 20}}},
-		{BDD: bdd.Config{NodeSize: 1 << 20, CacheRatio: 8}},
+		{Solver: SolverOptions{BDD: bdd.Config{NodeSize: 1 << 20, CacheRatio: 8}}},
 	} {
 		if o.Fingerprint() != base.Fingerprint() {
 			t.Errorf("options %+v changed the fingerprint; Workers and BDD sizing cannot change results and must not key the cache", o.Solver)

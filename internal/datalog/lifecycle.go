@@ -103,25 +103,3 @@ func (p *Program) deriveSafePoint(live ...bdd.Node) {
 	}
 	p.CollectIfPressured(extra...)
 }
-
-// Reorder runs one sifting pass over the manager's variable order with
-// the program's roots pinned (a collection runs first; see
-// bdd.Manager.Reorder). Relation contents and the cached rename
-// apparatus survive by node identity — the kernel rewrites nodes in
-// place — so nothing in the program needs rebuilding. It returns the
-// number of adjacent-level swaps.
-func (p *Program) Reorder() int {
-	release := p.pinRoots(nil)
-	swaps := p.M.Reorder()
-	release()
-	return swaps
-}
-
-// ReorderIfEnabled runs Reorder when the manager was configured with
-// Config.Reorder — the between-strata hook solver drivers call.
-func (p *Program) ReorderIfEnabled() int {
-	if !p.M.Config().Reorder {
-		return 0
-	}
-	return p.Reorder()
-}

@@ -34,7 +34,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 		b := b
 		t.Run(b.name, func(t *testing.T) {
 			t.Parallel()
-			opts := core.Options{Backend: b.backend}
+			opts := core.Options{Solver: core.SolverOptions{Backend: b.backend}}
 
 			// A SharedLib template gives a genuinely multi-file program;
 			// splitting the executable adds more files so incremental

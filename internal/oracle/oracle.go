@@ -134,13 +134,12 @@ type AnalysisConfig struct {
 }
 
 // DefaultConfigs returns the configuration matrix: the sound default
-// (full call-path cloning, heap cloning on), the same analysis solved
-// on four workers (must reproduce the default's reports byte-for-byte
-// — parallelism is results-neutral by contract), the BDD kernel under
-// minimum-table GC plus sifting reorder (lifecycle management is
-// results-neutral too: collections and reorders must not perturb
-// reports), the context-insensitive ablation (ContextCap 1 —
-// documented unsound: merging loses the distinctions
+// (full call-path cloning, heap cloning on), the same analysis with a
+// four-worker front end (must reproduce the default's reports
+// byte-for-byte — sharding is results-neutral by contract), the BDD
+// kernel under minimum-table GC forced on every growth (collections
+// must not perturb reports either), the context-insensitive ablation
+// (ContextCap 1 — documented unsound: merging loses the distinctions
 // TestContextSensitivityMatters pins), 2-CFA numbering (bounded call
 // strings merge deep paths the same way), the points-to cap (⊤
 // collapse past one location per variable — tight enough to actually
@@ -156,9 +155,9 @@ func DefaultConfigs() []AnalysisConfig {
 			Opts:          core.Options{Solver: core.SolverOptions{Workers: 4}},
 			Sound:         true,
 			SameReportsAs: "default"},
-		{Name: "gcreorder",
+		{Name: "gc",
 			Opts: core.Options{Solver: core.SolverOptions{
-				BDD: bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1, Reorder: true},
+				BDD: bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1},
 			}},
 			Sound:         true,
 			SameReportsAs: "default"},

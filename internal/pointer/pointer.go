@@ -18,7 +18,6 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/bdd"
 	"repro/internal/contexts"
 	"repro/internal/ir"
 	"repro/internal/trace"
@@ -99,20 +98,8 @@ type Config struct {
 	// loads through ⊤ yield ⊤ and stores through ⊤ are dropped, so a
 	// capped solve is a documented-unsound throttle, not a sound
 	// over-approximation. Capped variables are counted by
-	// CappedVars. A nonzero cap forces the sequential solver: the
-	// collapse is schedule-sensitive, and the deterministic sweep
-	// order is what keeps reports identical across runs.
+	// CappedVars.
 	PtsLimit int
-	// Workers > 1 solves the fixpoint in parallel: the call graph's
-	// SCC DAG is scheduled leaf-to-root over a bounded worker pool,
-	// with per-task deltas committed between levels (parallel.go).
-	// Object IDs, points-to sets, and the heap are identical to the
-	// sequential solve for every worker count; only Rounds (and wall
-	// time) may differ. 0 and 1 select the sequential solver.
-	Workers int
-	// BDD sizes the BDD kernel used by AnalyzeBDD (ignored by the
-	// explicit solver). Sizing never changes results.
-	BDD bdd.Config
 }
 
 // varKey identifies a variable in a context.
@@ -152,10 +139,6 @@ type Result struct {
 	// false means Config.MaxRounds cut the iteration off and the
 	// points-to sets are an under-approximation.
 	Converged bool
-
-	// Sched describes the parallel solver's schedule and per-level
-	// wall times (nil for the sequential solve).
-	Sched *SchedStats
 
 	// topID is the interned TopObj's ID when Config.PtsLimit > 0, -1
 	// otherwise; capped records every variable whose set collapsed.
@@ -390,15 +373,6 @@ func (r *Result) solve(ctx context.Context) {
 			}
 		}
 	}
-	if r.Config.Workers > 1 && r.Config.PtsLimit == 0 {
-		// The ⊤ collapse is non-monotone (stores through ⊤ are
-		// dropped), so a chaotic parallel schedule could reach
-		// different post-collapse states. A capped solve therefore
-		// always runs the deterministic sequential sweep; front-end
-		// and pairs-phase parallelism are unaffected.
-		r.solveParallel(sp, funcs)
-		return
-	}
 	for {
 		r.Rounds++
 		roundSp := sp.Child("round")
@@ -443,39 +417,26 @@ func (r *Result) solve(ctx context.Context) {
 	}
 }
 
-// buildAddrTaken fills the address-taken cache on first use.
-func (r *Result) buildAddrTaken() {
-	if r.addrTaken != nil {
-		return
-	}
-	r.addrTaken = make(map[*ir.Func][]*ir.Var)
-	for _, v := range r.Prog.Vars {
-		if v.AddrTaken {
-			r.addrTaken[v.Func] = append(r.addrTaken[v.Func], v)
-		}
-	}
-}
-
-// addrTakenVars assembles the variables syncAddrTaken visits for
-// (f, ctx): f's own address-taken variables, plus the globals exactly
-// once (at context 0).
-func (r *Result) addrTakenVars(f *ir.Func, ctx uint64) []*ir.Var {
-	vars := make([]*ir.Var, 0, len(r.addrTaken[f])+len(r.addrTaken[nil]))
-	vars = append(vars, r.addrTaken[f]...)
-	if ctx == 0 {
-		vars = append(vars, r.addrTaken[nil]...) // globals, synced once
-	}
-	return vars
-}
-
 // syncAddrTaken keeps an address-taken variable's points-to set equal
 // to the contents of its storage object's cell at offset 0: a store
 // through the variable's address is a write to the variable, and a
 // direct assignment to the variable is visible through its address.
 func (r *Result) syncAddrTaken(f *ir.Func, ctx uint64) bool {
-	r.buildAddrTaken()
+	if r.addrTaken == nil {
+		r.addrTaken = make(map[*ir.Func][]*ir.Var)
+		for _, v := range r.Prog.Vars {
+			if v.AddrTaken {
+				r.addrTaken[v.Func] = append(r.addrTaken[v.Func], v)
+			}
+		}
+	}
 	changed := false
-	for _, v := range r.addrTakenVars(f, ctx) {
+	vars := make([]*ir.Var, 0, len(r.addrTaken[f])+len(r.addrTaken[nil]))
+	vars = append(vars, r.addrTaken[f]...)
+	if ctx == 0 {
+		vars = append(vars, r.addrTaken[nil]...) // globals, synced once
+	}
+	for _, v := range vars {
 		if v.Global && ctx != 0 {
 			continue
 		}

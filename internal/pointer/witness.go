@@ -12,11 +12,9 @@ import "repro/internal/ir"
 //
 // The scan is demand-driven and deterministic: functions in sorted
 // order, contexts ascending, instructions in program order, and the
-// first match wins. Recording "the first writer" during the fixpoint
-// instead would be schedule-dependent under the parallel solver; this
-// post-solve scan reads only the converged points-to sets, so every
-// worker count (and both solver backends) witnesses the same
-// instruction. It allocates nothing into the Result and is safe to call
+// first match wins. The scan reads only the converged points-to sets,
+// so both pair backends witness the same instruction. It allocates
+// nothing into the Result and is safe to call
 // concurrently with other read-only accessors.
 func (r *Result) HeapWitness(obj int, off int64, dst Loc) (*ir.Instr, uint64, bool) {
 	for _, fn := range r.Numbering.G.ReachableFuncs() {

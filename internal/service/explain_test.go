@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -98,13 +99,14 @@ func TestBDDPeakNodesGauge(t *testing.T) {
 	ctx := context.Background()
 	opts := core.Options{}
 	opts.Solver.Backend = core.BDDBackend
-	// Peak-node tracking only surfaces in phase outputs when GC or a
-	// reorder ran; enable both so even this small workload reports it.
-	opts.Solver.BDD = bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1, Reorder: true}
+	// Peak-node tracking only surfaces in phase outputs when a
+	// collection ran: a minimum table with GC on every growth, on a
+	// program large enough to grow it.
+	opts.Solver.BDD = bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1}
 
 	var peak int64
 	for i := 0; i < 3; i++ {
-		res, err := s.Analyze(ctx, opts, sourcesFor(i))
+		res, err := s.Analyze(ctx, opts, map[string]string{fmt.Sprintf("peak%d.c", i): soakSource(i, 24)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +144,7 @@ func TestHTTPExplain(t *testing.T) {
 	defer srv.Close()
 
 	resp, data := postAnalyze(t, srv, analyzeBody(t, sourcesFor(0),
-		RequestOptions{Backend: "bdd", BDDNodeSize: 1, BDDGC: true, BDDGCThreshold: 1, BDDReorder: true}))
+		RequestOptions{Backend: "bdd", BDDNodeSize: 1, BDDGC: true, BDDGCThreshold: 1}))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze: %d %s", resp.StatusCode, data)
 	}
@@ -218,11 +220,27 @@ func TestHTTPExplain(t *testing.T) {
 		"regionwizd_explain_replays_total 1",
 		"regionwizd_warnings_total 1",
 		"regionwizd_explain_duration_seconds_count 1",
-		"# TYPE regionwizd_bdd_peak_nodes gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+
+	// The peak gauge is exported once some request's kernel collected;
+	// the program above is too small to grow the table, so analyze one
+	// that does.
+	resp, data = postAnalyze(t, srv, analyzeBody(t, map[string]string{"peak.c": soakSource(0, 24)},
+		RequestOptions{Backend: "bdd", BDDNodeSize: 1, BDDGC: true, BDDGCThreshold: 1}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze: %d %s", resp.StatusCode, data)
+	}
+	resp, data = get(srv.URL + "/v1/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: %d", resp.StatusCode)
+	}
+	text = string(data)
+	if !strings.Contains(text, "# TYPE regionwizd_bdd_peak_nodes gauge") {
+		t.Error("metrics missing the regionwizd_bdd_peak_nodes gauge")
 	}
 	if strings.Contains(text, "regionwizd_bdd_peak_nodes_total") {
 		t.Error("bdd_peak_nodes still exported as a summed counter")

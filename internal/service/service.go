@@ -27,7 +27,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -67,7 +69,7 @@ type Config struct {
 	// Kernel sizing never changes results, so it does not enter cache
 	// keys.
 	BDD bdd.Config
-	// SolverWorkers is the default per-request solve parallelism
+	// SolverWorkers is the default per-request front-end parallelism
 	// applied to requests that do not set solver_workers themselves.
 	// The default (0) keeps requests sequential: the service already
 	// parallelizes across requests via Workers, so intra-request
@@ -253,16 +255,9 @@ func (s *Service) serve(ctx context.Context, opts core.Options, sources map[stri
 }
 
 func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[string]string, delta *deltaReq) (*Result, error) {
-	// Alias conflicts must be checked on the raw options: Normalize
-	// mirrors the deprecated spellings into Solver and the
-	// disagreement would vanish silently.
-	if err := opts.AliasConflicts(); err != nil {
-		return nil, err
-	}
 	opts = opts.Normalize()
 	if opts.Solver.BDD == (bdd.Config{}) {
 		opts.Solver.BDD = s.cfg.BDD
-		opts.BDD = opts.Solver.BDD
 	}
 	if opts.Solver.Workers == 0 {
 		opts.Solver.Workers = s.cfg.SolverWorkers
@@ -343,28 +338,46 @@ func (s *Service) analyze(ctx context.Context, opts core.Options, sources map[st
 	s.calls[key] = c
 	s.wg.Add(1)
 	s.mu.Unlock()
+	return s.lead(ctx, c, key, opts, sources, base, delta, dinfo)
+}
+
+// lead runs the pipeline as the singleflight leader for key. Its
+// deferred release runs on every path, a panic included: it drops the
+// in-flight entry, wakes the waiters and marks the run done for Close,
+// so one crashing request can neither block later requests for the
+// same key nor wedge shutdown. A panic becomes an ErrInternal error.
+func (s *Service) lead(ctx context.Context, c *call, key string, opts core.Options, sources map[string]string, base *core.Snapshot, delta *deltaReq, dinfo *DeltaInfo) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			slog.Default().LogAttrs(ctx, slog.LevelError, "analysis panicked",
+				slog.String("id", RequestID(ctx)),
+				slog.String("key", key),
+				slog.String("panic", fmt.Sprint(r)),
+				slog.String("stack", string(debug.Stack())))
+			res, err = nil, core.Errf(core.ErrInternal, "", "analysis panicked: %v", r)
+		}
+		s.mu.Lock()
+		delete(s.calls, key)
+		if err == nil {
+			s.cache.add(key, res)
+			if res.snap != nil {
+				s.snaps.add(key, res.snap)
+			}
+		}
+		s.mu.Unlock()
+		c.res, c.err = res, err
+		close(c.done)
+		s.wg.Done()
+	}()
 
 	if opts.Solver.Workers > 1 {
 		s.stats.parallelSolves.Add(1)
 		s.stats.solverWorkersUsed.Add(uint64(opts.Solver.Workers))
 	}
-	res, err := s.run(ctx, key, opts, sources, base, delta)
+	res, err = s.run(ctx, key, opts, sources, base, delta)
 	if err == nil {
 		res.Delta = dinfo
 	}
-
-	s.mu.Lock()
-	delete(s.calls, key)
-	if err == nil {
-		s.cache.add(key, res)
-		if res.snap != nil {
-			s.snaps.add(key, res.snap)
-		}
-	}
-	s.mu.Unlock()
-	c.res, c.err = res, err
-	close(c.done)
-	s.wg.Done()
 	return res, err
 }
 

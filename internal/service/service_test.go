@@ -425,3 +425,44 @@ func TestLRUCacheEviction(t *testing.T) {
 		t.Fatalf("key 0 cached=%v err=%v, want evicted miss", res != nil && res.Cached, err)
 	}
 }
+
+// TestPanickingRunReleasesKey: a pipeline panic must reach the caller
+// as an ErrInternal error and release the run's singleflight entry, so
+// a second request for the same key runs (and fails the same way)
+// instead of blocking on the dead run, and Close still returns.
+func TestPanickingRunReleasesKey(t *testing.T) {
+	obs := pipeline.ObserverFuncs[*core.Analysis]{
+		Start: func(name string, _ *core.Analysis) {
+			if name == core.PhasePointer {
+				panic("observer failed in " + name)
+			}
+		},
+	}
+	s := New(Config{Workers: 1, Observer: obs})
+	for i := 0; i < 2; i++ {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.Analyze(context.Background(), core.Options{}, sourcesFor(0))
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			var cerr *core.Error
+			if !errors.As(err, &cerr) || cerr.Kind != core.ErrInternal {
+				t.Fatalf("request %d: err = %v, want an ErrInternal error", i, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("request %d blocked after a panicking run for the same key", i)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return after a panicking run")
+	}
+}

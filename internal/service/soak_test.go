@@ -68,10 +68,10 @@ func pairsOutputs(t *testing.T, reportJSON []byte) map[string]int64 {
 
 // TestSoakBoundedKernelFootprint is the daemon soak regression: many
 // distinct analyze requests against one service, each running the BDD
-// backend with GC (and reordering) enabled, must show a bounded —
-// here: exactly repeating — kernel node footprint. A leak across
-// requests, a collection that frees live nodes, or a reorder that
-// changes results would all break the per-request counters' equality.
+// backend with GC enabled, must show a bounded — here: exactly
+// repeating — kernel node footprint. A leak across requests or a
+// collection that frees live nodes would break the per-request
+// counters' equality.
 // CI runs this under -race.
 func TestSoakBoundedKernelFootprint(t *testing.T) {
 	const requests = 55
@@ -83,7 +83,7 @@ func TestSoakBoundedKernelFootprint(t *testing.T) {
 	opts.Solver.Backend = core.BDDBackend
 	// Minimum table and threshold: growth pressure (and so collection)
 	// happens even on this modest workload.
-	opts.Solver.BDD = bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1, Reorder: true}
+	opts.Solver.BDD = bdd.Config{NodeSize: 1, GC: true, GCThreshold: 1}
 
 	var first map[string]int64
 	var firstWarnings int

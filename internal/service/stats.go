@@ -122,7 +122,7 @@ type Stats struct {
 	Phases map[string]PhaseTotal `json:"phases,omitempty"`
 	// BDDOutputs accumulates, over every pipeline run, the bdd_*
 	// counters the pairs phase reports (node/tuple footprint, op-cache
-	// traffic, and — when enabled — GC and reorder activity). These are
+	// traffic, and — when enabled — GC activity). These are
 	// true counters, so summing across requests is meaningful;
 	// bdd_peak_nodes is not one of them — see BDDPeakNodes.
 	BDDOutputs map[string]int64 `json:"bdd_outputs,omitempty"`

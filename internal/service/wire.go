@@ -75,17 +75,15 @@ type RequestOptions struct {
 	// results, so these do not affect the cache key.
 	BDDNodeSize   int `json:"bdd_node_size,omitempty"`
 	BDDCacheRatio int `json:"bdd_cache_ratio,omitempty"`
-	// BDDGC / BDDGCThreshold / BDDReorder control the kernel's
-	// mark-and-sweep collection and sifting-based variable reordering.
-	// Both are report-invariant (asserted by the oracle), so like the
-	// sizing knobs they stay out of the cache key.
+	// BDDGC / BDDGCThreshold control the kernel's mark-and-sweep
+	// collection. It is report-invariant (asserted by the oracle), so
+	// like the sizing knobs it stays out of the cache key.
 	BDDGC          bool `json:"bdd_gc,omitempty"`
 	BDDGCThreshold int  `json:"bdd_gc_threshold,omitempty"`
-	BDDReorder     bool `json:"bdd_reorder,omitempty"`
-	// SolverWorkers shards the solve inside this request across a
-	// worker pool (0 = service default, 1 = sequential). Reports are
-	// identical for every worker count, so this does not affect the
-	// cache key.
+	// SolverWorkers shards this request's front end (parse, check,
+	// lower) per file across a worker pool (0 = service default,
+	// 1 = sequential). Reports are identical for every worker count,
+	// so this does not affect the cache key.
 	SolverWorkers int `json:"solver_workers,omitempty"`
 	// SolverMaxRounds bounds fixpoint rounds (0 = unlimited). A nonzero
 	// bound can change results and is part of the cache key.
@@ -124,7 +122,6 @@ func (ro RequestOptions) ToOptions() (core.Options, error) {
 				CacheRatio:  ro.BDDCacheRatio,
 				GC:          ro.BDDGC,
 				GCThreshold: ro.BDDGCThreshold,
-				Reorder:     ro.BDDReorder,
 			},
 		},
 	}

@@ -27,7 +27,7 @@ func TestTracingDoesNotPerturbReports(t *testing.T) {
 	}{{"explicit", ExplicitBackend}, {"bdd", BDDBackend}} {
 		t.Run(tc.name, func(t *testing.T) {
 			backend := tc.backend
-			opts := Options{Backend: backend}
+			opts := Options{Solver: SolverOptions{Backend: backend}}
 
 			plain, err := AnalyzeSourceContext(context.Background(), opts, sources)
 			if err != nil {

@@ -75,12 +75,11 @@ func TestParallelCorpusMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSolverWorkersDeterminism pins the tentpole contract of the
-// intra-analysis parallel solve: for every small-corpus executable,
-// the canonical report (oracle.CanonicalReport — warnings plus the
-// stable stats) is byte-identical at workers 1, 2, and 4 on both
-// backends. Sources are split into files so the sharded front end is
-// exercised, not just the SCC-scheduled pointer solve. Run under
+// TestSolverWorkersDeterminism pins the contract of the sharded front
+// end: for every small-corpus executable, the canonical report
+// (oracle.CanonicalReport — warnings plus the stable stats) is
+// byte-identical at workers 1, 2, and 4 on both backends. Sources are
+// split into files so parse, check and lower actually shard. Run under
 // -race in CI, this doubles as the data-race proof for the per-shard
 // state.
 func TestSolverWorkersDeterminism(t *testing.T) {

@@ -112,7 +112,7 @@ int main(void) {
 
 func TestBackendsExposedAndAgree(t *testing.T) {
 	for _, be := range []Backend{ExplicitBackend, BDDBackend} {
-		report, err := Analyze(Options{Backend: be}, map[string]string{"q.c": quickstartSrc})
+		report, err := Analyze(Options{Solver: SolverOptions{Backend: be}}, map[string]string{"q.c": quickstartSrc})
 		if err != nil {
 			t.Fatal(err)
 		}
