@@ -55,7 +55,7 @@ func main() {
 	switch *dump {
 	case "ir":
 		for _, name := range prog.FuncNames() {
-			fmt.Print(prog.Funcs[name].Dump())
+			fmt.Print(prog.Funcs[name].Dump(prog))
 			fmt.Println()
 		}
 	case "callgraph":
@@ -66,10 +66,11 @@ func main() {
 				if in.Op != ir.Call {
 					continue
 				}
-				for _, callee := range g.Edges[in.ID] {
+				id := prog.InstrID(in)
+				for _, callee := range g.Edges[id] {
 					fmt.Printf("  %s -> %s\n", in.Pos, callee)
 				}
-				for _, ext := range g.ExternCalls[in.ID] {
+				for _, ext := range g.ExternCalls[id] {
 					fmt.Printf("  %s -> %s (extern)\n", in.Pos, ext)
 				}
 			}

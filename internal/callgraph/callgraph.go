@@ -182,6 +182,7 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 					}
 				}
 			case ir.Call:
+				id := prog.InstrID(in)
 				// Resolve callees.
 				var callees []string
 				switch in.Callee.Kind {
@@ -201,12 +202,12 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 								a := in.Args[argIdx]
 								switch a.Kind {
 								case ir.FuncOpd:
-									if addEdge(in.ID, a.Fn) {
+									if addEdge(id, a.Fn) {
 										changed = true
 									}
 								case ir.VarOpd:
 									for efn := range g.VF[a.Var] {
-										if addEdge(in.ID, efn) {
+										if addEdge(id, efn) {
 											changed = true
 										}
 									}
@@ -215,7 +216,7 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 						}
 						continue
 					}
-					if addEdge(in.ID, fn) {
+					if addEdge(id, fn) {
 						changed = true
 					}
 					// Parameter wiring.
@@ -252,18 +253,19 @@ func BuildEntries(prog *ir.Program, entries []string, implicit []ImplicitSpec) *
 		if in.Op != ir.Call {
 			continue
 		}
+		id := prog.InstrID(in)
 		switch in.Callee.Kind {
 		case ir.FuncOpd:
 			if _, defined := prog.Funcs[in.Callee.Fn]; !defined {
-				g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], in.Callee.Fn)
+				g.ExternCalls[id] = append(g.ExternCalls[id], in.Callee.Fn)
 			}
 		case ir.VarOpd:
 			for fn := range g.VF[in.Callee.Var] {
 				if _, defined := prog.Funcs[fn]; !defined {
-					g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], fn)
+					g.ExternCalls[id] = append(g.ExternCalls[id], fn)
 				}
 			}
-			sort.Strings(g.ExternCalls[in.ID])
+			sort.Strings(g.ExternCalls[id])
 		}
 	}
 
@@ -292,7 +294,7 @@ func (g *Graph) computeReachable() {
 			if in.Op != ir.Call {
 				continue
 			}
-			for _, callee := range g.Edges[in.ID] {
+			for _, callee := range g.Edges[g.Prog.InstrID(in)] {
 				push(callee)
 			}
 		}
@@ -308,7 +310,7 @@ func (g *Graph) CallSites(fn string) []*ir.Instr {
 	}
 	var out []*ir.Instr
 	for _, in := range f.Instrs {
-		if in.Op == ir.Call && len(g.Edges[in.ID]) > 0 {
+		if in.Op == ir.Call && len(g.Edges[g.Prog.InstrID(in)]) > 0 {
 			out = append(out, in)
 		}
 	}

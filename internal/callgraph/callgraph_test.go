@@ -29,7 +29,7 @@ func calleesOf(g *Graph, fn string) []string {
 		if in.Op != ir.Call {
 			continue
 		}
-		for _, c := range g.Edges[in.ID] {
+		for _, c := range g.Edges[g.Prog.InstrID(in)] {
 			set[c] = true
 		}
 	}

@@ -94,20 +94,20 @@ func BuildDirect(prog *ir.Program, entries []string, implicit []ImplicitSpec) (*
 		if in.Op != ir.Call || in.Callee.Kind != ir.FuncOpd {
 			continue
 		}
-		fn := in.Callee.Fn
+		fn, id := in.Callee.Fn, prog.InstrID(in)
 		if _, defined := prog.Funcs[fn]; defined {
 			seen := make(map[string]bool, 1)
-			addEdge(in.ID, fn, seen)
+			addEdge(id, fn, seen)
 			continue
 		}
-		g.ExternCalls[in.ID] = append(g.ExternCalls[in.ID], fn)
+		g.ExternCalls[id] = append(g.ExternCalls[id], fn)
 		seen := make(map[string]bool)
 		for _, argIdx := range implicitByFn[fn] {
 			if argIdx < len(in.Args) && in.Args[argIdx].Kind == ir.FuncOpd {
-				addEdge(in.ID, in.Args[argIdx].Fn, seen)
+				addEdge(id, in.Args[argIdx].Fn, seen)
 			}
 		}
-		sort.Strings(g.Edges[in.ID])
+		sort.Strings(g.Edges[id])
 	}
 	for fn := range g.Callers {
 		sort.Ints(g.Callers[fn])

@@ -85,9 +85,10 @@ func (n *Numbering) callEdges(fn string) []Edge {
 		if in.Op != ir.Call {
 			continue
 		}
-		for _, callee := range n.G.Edges[in.ID] {
+		id := n.G.Prog.InstrID(in)
+		for _, callee := range n.G.Edges[id] {
 			if n.G.Reachable[callee] {
-				out = append(out, Edge{Instr: in.ID, Callee: callee})
+				out = append(out, Edge{Instr: id, Callee: callee})
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/callgraph"
+	"repro/internal/ir"
 )
 
 // kState holds the k-CFA tables inside a Numbering. A context is the
@@ -86,11 +87,15 @@ func NewKCFA(g *callgraph.Graph, k int, cap uint64) *Numbering {
 			continue
 		}
 		for _, in := range f.Instrs {
-			for _, callee := range g.Edges[in.ID] {
+			if in.Op != ir.Call {
+				continue
+			}
+			id := g.Prog.InstrID(in)
+			for _, callee := range g.Edges[id] {
 				if !g.Reachable[callee] {
 					continue
 				}
-				cs := pushCallString(w.cs, in.ID, ks.k)
+				cs := pushCallString(w.cs, id, ks.k)
 				if _, fresh := assign(callee, cs); fresh {
 					queue = append(queue, work{callee, cs})
 				}

@@ -90,9 +90,9 @@ func TestKCFAMapContextConsistent(t *testing.T) {
 	var edges []Edge
 	for _, fn := range []string{"left", "right"} {
 		for _, in := range g.Prog.Funcs[fn].Instrs {
-			for _, callee := range g.Edges[in.ID] {
+			for _, callee := range g.Edges[g.Prog.InstrID(in)] {
 				if callee == "shared" {
-					edges = append(edges, Edge{Instr: in.ID, Callee: callee})
+					edges = append(edges, Edge{Instr: g.Prog.InstrID(in), Callee: callee})
 				}
 			}
 		}
@@ -165,8 +165,8 @@ int main(void) { return f1() + f1(); }`
 			continue
 		}
 		for _, in := range f.Instrs {
-			for _, callee := range g.Edges[in.ID] {
-				e := Edge{Instr: in.ID, Callee: callee}
+			for _, callee := range g.Edges[g.Prog.InstrID(in)] {
+				e := Edge{Instr: g.Prog.InstrID(in), Callee: callee}
 				for ctx := uint64(0); ctx < a.Count[fn]; ctx++ {
 					ca := a.MapContext(fn, ctx, e)
 					cb := b.MapContext(fn, ctx, e)

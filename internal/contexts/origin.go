@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/callgraph"
+	"repro/internal/ir"
 )
 
 // oState holds the origin-sensitivity tables inside a Numbering. A
@@ -89,13 +90,17 @@ func NewOrigin(g *callgraph.Graph, cap uint64, originFns map[string]bool) *Numbe
 			continue
 		}
 		for _, in := range f.Instrs {
-			for _, callee := range g.Edges[in.ID] {
+			if in.Op != ir.Call {
+				continue
+			}
+			id := g.Prog.InstrID(in)
+			for _, callee := range g.Edges[id] {
 				if !g.Reachable[callee] {
 					continue
 				}
 				tok := w.tok
 				if originFns[callee] {
-					tok = strconv.Itoa(in.ID)
+					tok = strconv.Itoa(id)
 				}
 				if _, fresh := assign(callee, tok); fresh {
 					queue = append(queue, work{callee, tok})

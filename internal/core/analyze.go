@@ -168,7 +168,8 @@ type Analysis struct {
 	// that will produce a Snapshot; prev is the base snapshot of an
 	// incremental run; changed/digests are per-path parse results;
 	// declSigs/bodyDefs cache signature computations for the new
-	// snapshot; fragments collects the per-file IR (reused or fresh);
+	// snapshot; fragments collects the per-file IR (reused or fresh)
+	// and globals the table they were lowered against;
 	// incrementalCheck records that check reused prev's declarations.
 	snapshotting     bool
 	prev             *Snapshot
@@ -177,6 +178,7 @@ type Analysis struct {
 	declSigs         map[string]string
 	bodyDefs         map[string]bool
 	fragments        map[string]*ir.Fragment
+	globals          *ir.GlobalTable
 	incrementalCheck bool
 
 	// Regions indexed by region index; Regions[0] is the root.
@@ -385,7 +387,7 @@ func (a *Analysis) extractRegions() {
 		if !ok {
 			return
 		}
-		objID := a.Ptr.AllocObjAt(ctx, in.ID)
+		objID := a.Ptr.AllocObjAt(ctx, a.Prog.InstrID(in))
 		if objID < 0 {
 			return
 		}
@@ -437,7 +439,7 @@ func (a *Analysis) regionArgTargets(in *ir.Instr, ctx uint64, argIdx int) []int 
 	}
 	var out []int
 	seen := map[int]bool{}
-	for _, l := range a.Ptr.OperandPointsTo(arg, ctx) {
+	for _, l := range a.Ptr.OperandPointsTo(in, arg, ctx) {
 		if r, ok := a.regionOf[l.Obj]; ok && !seen[r] {
 			seen[r] = true
 			out = append(out, r)
@@ -503,7 +505,7 @@ func (a *Analysis) allocRegionTargets(in *ir.Instr, ctx uint64, argIdx int) []in
 	}
 	var out []int
 	seen := map[int]bool{}
-	for _, l := range a.Ptr.OperandPointsTo(arg, ctx) {
+	for _, l := range a.Ptr.OperandPointsTo(in, arg, ctx) {
 		if r, ok := a.regionOf[l.Obj]; ok && !seen[r] {
 			seen[r] = true
 			out = append(out, r)
@@ -664,7 +666,7 @@ func (a *Analysis) extractOwnership() {
 		if !ok {
 			return
 		}
-		objID := a.Ptr.AllocObjAt(ctx, in.ID)
+		objID := a.Ptr.AllocObjAt(ctx, a.Prog.InstrID(in))
 		if objID < 0 {
 			return
 		}

@@ -234,7 +234,7 @@ func (a *Analysis) sitePos(obj int) cminor.Pos {
 func (a *Analysis) siteOf(obj int) int {
 	o := a.Ptr.Objects[obj]
 	if o.Kind == pointer.AllocObj && o.Site != nil {
-		return o.Site.ID
+		return a.Prog.InstrID(o.Site)
 	}
 	return -1
 }

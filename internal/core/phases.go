@@ -135,11 +135,17 @@ func analysisPhases() []pipeline.Phase[*Analysis] {
 			if a.snapshotting {
 				// Per-file fragments, reused from the base when the file
 				// is unchanged and the declaration environment held
-				// (fragments bake in type layouts and symbol kinds, so a
-				// full fallback check invalidates all of them). Fresh
-				// lowers run in parallel: LowerFile only reads a.Info
-				// and Link assigns all program-wide IDs in file order,
-				// so the linked program is schedule-independent.
+				// (fragments bake in type layouts, symbol kinds, and the
+				// base's global table, so a full fallback check
+				// invalidates all of them). Fresh lowers run in
+				// parallel: LowerFile only reads a.Info and the table,
+				// and Link numbers the program in file order, so the
+				// linked program is schedule-independent.
+				if a.incrementalCheck {
+					a.globals = a.prev.globals
+				} else {
+					a.globals = ir.NewGlobalTable(a.Info)
+				}
 				frags := make([]*ir.Fragment, len(a.Files))
 				a.fragments = make(map[string]*ir.Fragment, len(a.Files))
 				var toLower []int
@@ -154,21 +160,22 @@ func analysisPhases() []pipeline.Phase[*Analysis] {
 				}
 				parallelFor(a.Opts.Solver.Workers, len(toLower), func(j int) {
 					i := toLower[j]
-					frags[i] = ir.LowerFile(a.Info, a.Files[i])
+					frags[i] = ir.LowerFile(a.Info, a.globals, a.Files[i])
 				})
 				for i, f := range a.Files {
 					a.fragments[f.Path] = frags[i]
 				}
-				a.Prog = ir.Link(a.Info, frags)
+				a.Prog = ir.Link(a.Info, a.globals, frags)
 			} else if a.Opts.Solver.Workers > 1 && len(a.Files) > 1 {
 				// Plain mode, parallel: per-file fragments linked in
 				// file order. ir.Link documents byte-identity with the
 				// single-pass Lower.
+				globals := ir.NewGlobalTable(a.Info)
 				frags := make([]*ir.Fragment, len(a.Files))
 				parallelFor(a.Opts.Solver.Workers, len(a.Files), func(i int) {
-					frags[i] = ir.LowerFile(a.Info, a.Files[i])
+					frags[i] = ir.LowerFile(a.Info, globals, a.Files[i])
 				})
-				a.Prog = ir.Link(a.Info, frags)
+				a.Prog = ir.Link(a.Info, globals, frags)
 			} else {
 				a.Prog = ir.Lower(a.Info, a.Files...)
 			}

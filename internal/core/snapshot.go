@@ -52,7 +52,10 @@ type Snapshot struct {
 	sigs     map[string]string // cminor.DeclSignature per file
 	bodyDefs map[string]bool   // cminor.HasBodyTypeDefs per file
 	frags    map[string]*ir.Fragment
-	info     *cminor.Info
+	// globals is the table every fragment was lowered against; it is
+	// reused exactly when the fragments are.
+	globals *ir.GlobalTable
+	info    *cminor.Info
 	// hasImplicit disqualifies the snapshot as an incremental-check
 	// base: implicitly declared functions mean the checker mutated
 	// state across file boundaries in ways signatures do not capture.
@@ -191,6 +194,7 @@ func (a *Analysis) buildSnapshot() *Snapshot {
 		sigs:        make(map[string]string, len(a.Files)),
 		bodyDefs:    make(map[string]bool, len(a.Files)),
 		frags:       a.fragments,
+		globals:     a.globals,
 		info:        a.Info,
 		hasImplicit: cminor.HasImplicitFuncs(a.Info),
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -199,5 +200,152 @@ func TestIncrementalOptionMismatchRejected(t *testing.T) {
 	_, _, err = AnalyzeIncremental(ctx, Options{}, snap, nil, []string{"lib.c", "main.c"})
 	if !errors.Is(err, &Error{Kind: ErrConfig}) {
 		t.Fatalf("empty source set returned %v, want ErrConfig", err)
+	}
+}
+
+// globalSources is a two-file program around the global gconn: lib.c
+// links its argument to whatever gconn holds. Edits to main.c's body
+// may take gconn's address, which flips its address-taken bit while
+// lib.c's fragment and the global table are reused from the base.
+func globalSources(body string) map[string]string {
+	return map[string]string{
+		"lib.c": rcPrelude + `
+struct conn_t { int fd; struct conn_t *next; };
+struct conn_t *gconn;
+struct conn_t *mkconn(region_t *r) {
+    struct conn_t *c;
+    c = ralloc(r);
+    return c;
+}
+void hold_global(struct conn_t *x) {
+    x->next = gconn;
+}`,
+		"main.c": rcPrelude + `
+struct conn_t;
+extern struct conn_t *gconn;
+extern struct conn_t *mkconn(region_t *r);
+extern void hold_global(struct conn_t *x);
+int main(void) {
+    region_t *r;
+    region_t *subr;
+    struct conn_t *a;
+    struct conn_t *b;
+    struct conn_t **pp;
+    r = rnew(NULL);
+    subr = rnew(r);
+    a = mkconn(r);
+    b = mkconn(subr);
+    gconn = a;
+    hold_global(a);
+` + body + `
+    return 0;
+}`,
+	}
+}
+
+// addrEdit stores b into gconn through its address: a's next field may
+// then point into the shorter-lived subregion.
+const addrEdit = "pp = &gconn; *pp = b;"
+
+func TestIncrementalAddrTakenLeavesBaseUntouched(t *testing.T) {
+	ctx := context.Background()
+	base, snap, err := AnalyzeSourceSnapshot(ctx, Options{}, globalSources(""))
+	if err != nil {
+		t.Fatalf("base analyze: %v", err)
+	}
+	baseReport := stableReport(t, base.Report)
+	g := base.Prog.Globals["gconn"]
+	if g == nil || base.Prog.AddrTaken(g) {
+		t.Fatalf("base program: gconn = %v, AddrTaken = %v; want a global whose address is not taken", g, g != nil && base.Prog.AddrTaken(g))
+	}
+
+	edited := globalSources(addrEdit)
+	inc, _, err := AnalyzeIncremental(ctx, Options{}, snap,
+		map[string]string{"main.c": edited["main.c"]}, nil)
+	if err != nil {
+		t.Fatalf("incremental analyze: %v", err)
+	}
+	if inc.Front.LowerReused != 1 {
+		t.Fatalf("lower reused %d fragments, want lib.c's", inc.Front.LowerReused)
+	}
+	if inc.Prog.Globals["gconn"] != g || !inc.Prog.AddrTaken(g) {
+		t.Fatalf("edited program: shares gconn = %v, AddrTaken = %v; want the base's variable, address taken",
+			inc.Prog.Globals["gconn"] == g, inc.Prog.AddrTaken(g))
+	}
+	full, _, err := AnalyzeSourceSnapshot(ctx, Options{}, edited)
+	if err != nil {
+		t.Fatalf("from-scratch analyze: %v", err)
+	}
+	got := stableReport(t, inc.Report)
+	if want := stableReport(t, full.Report); got != want {
+		t.Fatalf("incremental report differs from from-scratch:\nincremental: %s\nfull:        %s", got, want)
+	}
+	if len(inc.Report.Warnings) <= len(base.Report.Warnings) {
+		t.Fatalf("edit reported %d warnings, base %d: the store through &gconn went unseen",
+			len(inc.Report.Warnings), len(base.Report.Warnings))
+	}
+
+	// The shared objects did not change under the base.
+	if base.Prog.AddrTaken(g) {
+		t.Fatal("the edit flipped AddrTaken(gconn) in the base program")
+	}
+	again, _, err := AnalyzeIncremental(ctx, Options{}, snap,
+		map[string]string{"main.c": globalSources("b = a;")["main.c"]}, nil)
+	if err != nil {
+		t.Fatalf("re-analyze from base: %v", err)
+	}
+	if again.Prog.AddrTaken(g) {
+		t.Fatal("a later edit from the base inherited AddrTaken(gconn)")
+	}
+	noop, _, err := AnalyzeIncremental(ctx, Options{}, snap, nil, nil)
+	if err != nil {
+		t.Fatalf("no-op re-analyze from base: %v", err)
+	}
+	if got := stableReport(t, noop.Report); got != baseReport {
+		t.Fatalf("re-analysis from the base differs from the base report:\nagain: %s\nbase:  %s", got, baseReport)
+	}
+}
+
+// TestConcurrentIncrementalFromOneSnapshot runs deltas against one base
+// at once (run it under -race): they share the base's fragments and
+// global table, so any write to those is a data race, and each result
+// must equal its sequential counterpart. Several copies of each delta
+// run, so the racing accesses meet in more than one interleaving.
+func TestConcurrentIncrementalFromOneSnapshot(t *testing.T) {
+	ctx := context.Background()
+	_, snap, err := AnalyzeSourceSnapshot(ctx, Options{}, globalSources(""))
+	if err != nil {
+		t.Fatalf("base analyze: %v", err)
+	}
+	bodies := []string{addrEdit, "b = a;"}
+	want := make([]string, len(bodies))
+	for i, body := range bodies {
+		full, _, err := AnalyzeSourceSnapshot(ctx, Options{}, globalSources(body))
+		if err != nil {
+			t.Fatalf("from-scratch analyze %d: %v", i, err)
+		}
+		want[i] = stableReport(t, full.Report)
+	}
+	const copies = 8
+	got := make([]*Analysis, copies*len(bodies))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := bodies[i%len(bodies)]
+			got[i], _, errs[i] = AnalyzeIncremental(ctx, Options{}, snap,
+				map[string]string{"main.c": globalSources(body)["main.c"]}, nil)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("delta %d: %v", i, errs[i])
+		}
+		if s := stableReport(t, got[i].Report); s != want[i%len(bodies)] {
+			t.Fatalf("concurrent delta %d differs from from-scratch:\ngot:  %s\nwant: %s", i, s, want[i%len(bodies)])
+		}
 	}
 }

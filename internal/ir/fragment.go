@@ -6,50 +6,82 @@ import (
 	"repro/internal/cminor"
 )
 
+// GlobalTable holds the canonical variable of every program global,
+// in sorted name order. It depends only on the declaration environment,
+// so one table serves every fragment lowered against that environment
+// and every program linked from them. A table is immutable: the one
+// program-dependent fact about a global, whether its address is taken,
+// lives in Program.AddrTaken.
+type GlobalTable struct {
+	vars   []*Var
+	byName map[string]*Var
+}
+
+// NewGlobalTable builds the canonical globals of a checked program.
+func NewGlobalTable(info *cminor.Info) *GlobalTable {
+	names := make([]string, 0, len(info.Globals))
+	for name := range info.Globals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	t := &GlobalTable{vars: make([]*Var, len(names)), byName: make(map[string]*Var, len(names))}
+	for i, name := range names {
+		v := &Var{Name: name, Global: true, PointerLike: cminor.IsPointer(info.Globals[name].Type)}
+		t.vars[i] = v
+		t.byName[name] = v
+	}
+	return t
+}
+
 // Fragment is the lowered IR of a single file: the per-file half of
-// Lower. Fragments carry no program-wide identity — variable and
-// instruction IDs are unassigned, global references are name-keyed
-// proxies, and string literal indices are fragment-local — so a
-// fragment depends only on its own file's AST and the declaration
-// environment (types, layouts, signatures). As long as that
-// environment is unchanged (see cminor.DeclSignature), a fragment can
-// be cached by file digest and relinked into any number of programs.
-// Link never mutates a fragment: every Var and Instr is cloned with
-// fresh IDs, so one fragment may be shared by concurrent links.
+// Lower. Its function bodies are program storage — Link shares their
+// Funcs, Instrs, and Vars in place — so a fragment carries no
+// program-wide identity: instruction IDs and string indices are
+// fragment-local (Program.InstrID and Program.StringID rebase them),
+// and globals are the canonical variables of the GlobalTable it was
+// lowered against. A fragment thus depends only on its own file's AST
+// and the declaration environment (types, layouts, signatures). As long
+// as that environment is unchanged (see cminor.DeclSignature), a
+// fragment can be cached by file digest and linked into any number of
+// programs. Nothing mutates a fragment after LowerFile returns, so one
+// fragment may be shared by concurrent links and analyses.
 type Fragment struct {
 	// Path is the source file the fragment was lowered from.
 	Path string
 	// Init holds the file's global-initializer instructions, and
-	// InitVars the temporaries they use. Instr.Func is nil here; Link
-	// points the clones at the synthetic init function.
+	// InitVars the temporaries they use. Instr.Func and Var.Func are
+	// nil here; Link clones both into the synthetic init function.
 	Init     []*Instr
 	InitVars []*Var
 	// Funcs are the file's defined functions in declaration order.
 	// BodyVars lists every function-local variable (parameters, return
 	// slots, locals, temporaries) in creation order; each knows its
-	// fragment Func.
+	// Func.
 	Funcs    []*Func
 	BodyVars []*Var
-	// Globals are name-keyed proxy variables standing in for program
-	// globals; Link replaces every reference with the canonical global
-	// and folds the proxy's AddrTaken flag into it.
-	Globals map[string]*Var
 	// Strings are the file's string literal sites: the first
 	// InitStrings entries come from global initializers, the rest from
-	// function bodies. Operand.Str indexes this slice until Link
-	// rebases it.
+	// function bodies. Operand.Str indexes this slice.
 	Strings     []StringLit
 	InitStrings int
+
+	// addrGlobals lists the globals whose address the file takes, once
+	// per site.
+	addrGlobals []*Var
+	// bodyInstrs counts the instructions of Funcs.
+	bodyInstrs int
 }
 
 // LowerFile lowers one checked file into a reusable fragment. info
 // must cover the file (a full check, or an incremental check that
-// re-checked it).
-func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
+// re-checked it), and globals must come from NewGlobalTable over the
+// declaration environment info shares.
+func LowerFile(info *cminor.Info, globals *GlobalTable, f *cminor.File) *Fragment {
 	b := &builder{
-		frag: &Fragment{Path: f.Path, Globals: make(map[string]*Var)},
-		info: info,
-		vars: make(map[*cminor.VarObject]*Var),
+		frag:    &Fragment{Path: f.Path},
+		info:    info,
+		globals: globals,
+		vars:    make(map[*cminor.VarObject]*Var),
 	}
 	// Global initializers first, mirroring Lower's historical order.
 	// Initializers of names the checker did not register as globals are
@@ -59,7 +91,7 @@ func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 		if vd, ok := d.(*cminor.VarDecl); ok && vd.Init != nil {
 			if _, ok := info.Globals[vd.Name]; ok {
 				src := b.expr(vd.Init)
-				b.emit(&Instr{Op: Assign, Dst: varOpd(b.globalProxy(vd.Name)), Src: src, Pos: vd.Pos})
+				b.emit(&Instr{Op: Assign, Dst: varOpd(b.global(vd.Name)), Src: src, Pos: vd.Pos})
 			}
 		}
 	}
@@ -74,153 +106,105 @@ func LowerFile(info *cminor.Info, f *cminor.File) *Fragment {
 	return b.frag
 }
 
-// Link assembles fragments (in file order) into one Program, assigning
-// program-wide variable and instruction IDs, resolving global proxies
-// to canonical globals, and rebasing string indices. The instruction
-// order matches the historical single-pass Lower exactly: every
-// fragment's initializer segment first (file order), then every
-// fragment's function bodies — reports are byte-identical whether a
-// fragment was freshly lowered or replayed from a cache.
-func Link(info *cminor.Info, frags []*Fragment) *Program {
+// Link assembles fragments (in file order) into one Program over the
+// GlobalTable they were lowered against. It shares every function body
+// in place and clones only the initializer segments, which it merges
+// into the synthetic InitFuncName function. The numbering matches the
+// historical single-pass Lower exactly: every fragment's initializer
+// segment first (file order), then every fragment's function bodies —
+// so reports are byte-identical whether a fragment was freshly lowered
+// or replayed from a cache.
+func Link(info *cminor.Info, globals *GlobalTable, frags []*Fragment) *Program {
 	prog := &Program{
-		Funcs:   make(map[string]*Func),
-		Externs: make(map[string]*cminor.FuncObject),
-		Globals: make(map[string]*Var),
-		Info:    info,
-	}
-	addVar := func(v *Var) *Var {
-		v.ID = len(prog.Vars)
-		prog.Vars = append(prog.Vars, v)
-		return v
-	}
-	// Canonical globals in sorted name order (variable IDs carry no
-	// analysis meaning; sorting makes linking deterministic).
-	names := make([]string, 0, len(info.Globals))
-	for name := range info.Globals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		prog.Globals[name] = addVar(&Var{
-			Name: name, Global: true,
-			PointerLike: cminor.IsPointer(info.Globals[name].Type),
-		})
+		Funcs:       make(map[string]*Func),
+		Externs:     make(map[string]*cminor.FuncObject),
+		Globals:     globals.byName,
+		Info:        info,
+		bases:       make(map[*Fragment]fragBase, len(frags)),
+		addrGlobals: make(map[*Var]bool),
 	}
 	for name, fo := range info.Funcs {
 		if fo.Decl == nil || fo.Decl.Body == nil {
 			prog.Externs[name] = fo
 		}
 	}
-	// globalFor resolves a fragment proxy to the canonical global,
-	// creating one for checker-fallback names (undeclared identifiers
-	// lowered as untyped globals) and accumulating AddrTaken.
-	globalFor := func(p *Var) *Var {
-		v, ok := prog.Globals[p.Name]
-		if !ok {
-			v = addVar(&Var{Name: p.Name, Global: true})
-			prog.Globals[p.Name] = v
+	nInit, nVars, nStrings := 0, len(globals.vars), 0
+	for _, fr := range frags {
+		nInit += len(fr.Init)
+		nVars += len(fr.InitVars) + len(fr.BodyVars)
+		nStrings += len(fr.Strings)
+		for _, v := range fr.addrGlobals {
+			prog.addrGlobals[v] = true
 		}
-		if p.AddrTaken {
-			v.AddrTaken = true
-		}
-		return v
 	}
+	prog.Vars = append(make([]*Var, 0, nVars), globals.vars...)
+	prog.Strings = make([]StringLit, 0, nStrings)
+
 	// Strings: initializer literals in file order, then body literals
 	// in file order — the order the single-pass Lower emitted them.
 	initBase := make([]int, len(frags))
-	bodyBase := make([]int, len(frags))
 	for i, fr := range frags {
 		initBase[i] = len(prog.Strings)
 		prog.Strings = append(prog.Strings, fr.Strings[:fr.InitStrings]...)
 	}
-	for i, fr := range frags {
-		bodyBase[i] = len(prog.Strings)
-		prog.Strings = append(prog.Strings, fr.Strings[fr.InitStrings:]...)
-	}
-
-	varMaps := make([]map[*Var]*Var, len(frags))
-	for i := range frags {
-		varMaps[i] = make(map[*Var]*Var)
-	}
-	remap := func(o Operand, i int) Operand {
-		switch o.Kind {
-		case VarOpd:
-			if o.Var.Global {
-				o.Var = globalFor(o.Var)
-			} else {
-				o.Var = varMaps[i][o.Var]
-			}
-		case StringOpd:
-			if o.Str < frags[i].InitStrings {
-				o.Str += initBase[i]
-			} else {
-				o.Str = bodyBase[i] + (o.Str - frags[i].InitStrings)
-			}
-		}
-		return o
-	}
-	cloneVar := func(v *Var, fn *Func) *Var {
-		return addVar(&Var{
-			Name: v.Name, Param: v.Param, Temp: v.Temp, Func: fn,
-			AddrTaken: v.AddrTaken, PointerLike: v.PointerLike,
-		})
-	}
-	cloneInstr := func(in *Instr, i int, fn *Func) *Instr {
-		ni := &Instr{
-			ID: len(prog.Instrs), Op: in.Op,
-			Dst: remap(in.Dst, i), Src: remap(in.Src, i),
-			Base: remap(in.Base, i), Off: in.Off,
-			Callee: remap(in.Callee, i),
-			Pos:    in.Pos, Func: fn,
-		}
-		if len(in.Args) > 0 {
-			ni.Args = make([]Operand, len(in.Args))
-			for k, a := range in.Args {
-				ni.Args[k] = remap(a, i)
-			}
-		}
-		prog.Instrs = append(prog.Instrs, ni)
-		fn.Instrs = append(fn.Instrs, ni)
-		return ni
-	}
-
-	// Pass 1: the synthetic initializer function.
-	initFn := &Func{Name: InitFuncName}
-	for i, fr := range frags {
-		for _, v := range fr.InitVars {
-			varMaps[i][v] = cloneVar(v, initFn)
-		}
-		for _, in := range fr.Init {
-			cloneInstr(in, i, initFn)
-		}
-	}
-	if len(initFn.Instrs) > 0 {
-		prog.Funcs[InitFuncName] = initFn
-	}
-	// Pass 2: function bodies, file order then declaration order.
-	fnMap := make(map[*Func]*Func)
+	nBody := 0
 	for _, fr := range frags {
-		for _, fn := range fr.Funcs {
-			nf := &Func{Name: fn.Name, Ret: fn.Ret, Variadic: fn.Variadic, Decl: fn.Decl}
-			prog.Funcs[fn.Name] = nf
-			fnMap[fn] = nf
-		}
+		prog.bases[fr] = fragBase{instr: nInit + nBody, str: len(prog.Strings) - fr.InitStrings}
+		prog.Strings = append(prog.Strings, fr.Strings[fr.InitStrings:]...)
+		nBody += fr.bodyInstrs
 	}
-	for i, fr := range frags {
-		for _, v := range fr.BodyVars {
-			varMaps[i][v] = cloneVar(v, fnMap[v.Func])
+
+	// The synthetic initializer function: clones of every fragment's
+	// initializer segment, numbered 0..nInit-1.
+	prog.Instrs = make([]*Instr, 0, nInit+nBody)
+	if nInit > 0 {
+		initFn := &Func{Name: InitFuncName, Instrs: make([]*Instr, 0, nInit)}
+		for i, fr := range frags {
+			temps := make(map[*Var]*Var, len(fr.InitVars))
+			for _, v := range fr.InitVars {
+				nv := &Var{Name: v.Name, Temp: v.Temp, Func: initFn, addrTaken: v.addrTaken, PointerLike: v.PointerLike}
+				temps[v] = nv
+				prog.Vars = append(prog.Vars, nv)
+			}
+			remap := func(o Operand) Operand {
+				switch o.Kind {
+				case VarOpd:
+					if nv, ok := temps[o.Var]; ok {
+						o.Var = nv
+					}
+				case StringOpd:
+					o.Str += initBase[i]
+				}
+				return o
+			}
+			for _, in := range fr.Init {
+				ni := &Instr{
+					id: len(initFn.Instrs), Op: in.Op,
+					Dst: remap(in.Dst), Src: remap(in.Src),
+					Base: remap(in.Base), Off: in.Off,
+					Callee: remap(in.Callee),
+					Pos:    in.Pos, Func: initFn,
+				}
+				if len(in.Args) > 0 {
+					ni.Args = make([]Operand, len(in.Args))
+					for k, a := range in.Args {
+						ni.Args[k] = remap(a)
+					}
+				}
+				initFn.Instrs = append(initFn.Instrs, ni)
+			}
 		}
+		prog.Funcs[InitFuncName] = initFn
+		prog.Instrs = append(prog.Instrs, initFn.Instrs...)
+	}
+
+	// Function bodies, shared in place: file order, then declaration
+	// order.
+	for _, fr := range frags {
+		prog.Vars = append(prog.Vars, fr.BodyVars...)
 		for _, fn := range fr.Funcs {
-			nf := fnMap[fn]
-			for _, p := range fn.Params {
-				nf.Params = append(nf.Params, varMaps[i][p])
-			}
-			if fn.RetVal != nil {
-				nf.RetVal = varMaps[i][fn.RetVal]
-			}
-			for _, in := range fn.Instrs {
-				cloneInstr(in, i, nf)
-			}
+			prog.Funcs[fn.Name] = fn
+			prog.Instrs = append(prog.Instrs, fn.Instrs...)
 		}
 	}
 	return prog

@@ -14,6 +14,7 @@ package ir
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/cminor"
@@ -96,6 +97,8 @@ func (o Operand) String() string {
 	case FuncOpd:
 		return "&" + o.Fn
 	case StringOpd:
+		// A body operand's index is fragment-local; Func.Dump prints
+		// the program's.
 		return fmt.Sprintf("str#%d", o.Str)
 	case NullOpd:
 		return "null"
@@ -103,10 +106,14 @@ func (o Operand) String() string {
 	return "?"
 }
 
-// Instr is one IR instruction. ID is unique across the whole program —
-// the paper's instruction set I.
+// Instr is one IR instruction. Its program-wide number — the paper's
+// instruction set I — is Program.InstrID: instructions are shared by
+// every program that links their fragment, so they carry only a
+// fragment-local number.
 type Instr struct {
-	ID   int
+	// id numbers a body instruction within its fragment, or an
+	// initializer instruction within the program (Link clones those).
+	id   int
 	Op   Op
 	Dst  Operand
 	Src  Operand // Assign/Store/Ret source; Addr variable
@@ -152,19 +159,19 @@ func (in *Instr) String() string {
 }
 
 // Var is an IR variable: a source variable, parameter, global, or
-// compiler temporary. ID is unique across the program — the paper's
-// variable set V.
+// compiler temporary — the paper's variable set V. Locals belong to one
+// fragment and globals to one GlobalTable; both are shared by every
+// program that links them and never change after lowering.
 type Var struct {
-	ID     int
 	Name   string
 	Global bool
 	Param  bool
 	Temp   bool
 	Func   *Func // nil for globals
-	// AddrTaken is set when an Addr instruction takes the variable's
-	// address; only such variables need storage objects in the pointer
-	// analysis.
-	AddrTaken bool
+	// addrTaken records that lowering took a local's address. A
+	// global's bit depends on the whole program, so Program.AddrTaken
+	// holds it instead.
+	addrTaken bool
 	// PointerLike reports whether the variable's declared type can
 	// carry a pointer (pointers, integers wide enough after casts —
 	// CMinor is weakly typed, so this is advisory only).
@@ -184,6 +191,10 @@ type Func struct {
 	// RetVal is the distinguished variable that Ret instructions
 	// assign; the call-return wiring in the pointer analysis reads it.
 	RetVal *Var
+	// frag is the fragment the function was lowered in; nil for the
+	// synthetic initializer function, whose instructions Link numbers
+	// program-wide.
+	frag *Fragment
 }
 
 // StringLit is one string literal site.
@@ -192,15 +203,56 @@ type StringLit struct {
 	Pos   cminor.Pos
 }
 
-// Program is a whole lowered program.
+// Program is a whole lowered program. It is a view over shared
+// fragments: functions, instructions, and variables belong to the
+// fragments and the GlobalTable Link was given (only the synthetic
+// initializer function is the Program's own), and the Program adds the
+// program-wide numbering (InstrID, StringID) and the address-taken bits
+// of globals (AddrTaken).
 type Program struct {
 	Funcs   map[string]*Func
 	Externs map[string]*cminor.FuncObject // declared but not defined
-	Globals map[string]*Var
+	Globals map[string]*Var               // the GlobalTable's map: read-only
 	Strings []StringLit
-	Vars    []*Var   // all variables, indexed by ID
-	Instrs  []*Instr // all instructions, indexed by ID
+	Vars    []*Var   // every variable: globals, initializer temps, then locals in file order
+	Instrs  []*Instr // all instructions, indexed by InstrID
 	Info    *cminor.Info
+
+	// bases rebases each fragment's local numbering.
+	bases map[*Fragment]fragBase
+	// addrGlobals holds the globals whose address some fragment takes.
+	addrGlobals map[*Var]bool
+}
+
+// fragBase is one fragment's offset in a program: instr is added to a
+// body instruction's local ID, str to a body string operand's index.
+type fragBase struct{ instr, str int }
+
+// InstrID returns the program-wide ID of an instruction of p:
+// Instrs[InstrID(in)] == in.
+func (p *Program) InstrID(in *Instr) int {
+	if fr := in.Func.frag; fr != nil {
+		return p.bases[fr].instr + in.id
+	}
+	return in.id
+}
+
+// StringID returns the index into Strings that the StringOpd operand o
+// of instruction in denotes.
+func (p *Program) StringID(in *Instr, o Operand) int {
+	if fr := in.Func.frag; fr != nil {
+		return p.bases[fr].str + o.Str
+	}
+	return o.Str
+}
+
+// AddrTaken reports whether some instruction of p takes v's address.
+// Only such variables need storage objects in the pointer analysis.
+func (p *Program) AddrTaken(v *Var) bool {
+	if v.Global {
+		return p.addrGlobals[v]
+	}
+	return v.addrTaken
 }
 
 // FuncNames returns defined function names in a stable order.
@@ -209,29 +261,34 @@ func (p *Program) FuncNames() []string {
 	for n := range p.Funcs {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }
 
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}
-
-// Dump renders a function's instructions, one per line (debugging and
-// the cmd/cminor tool).
-func (f *Func) Dump() string {
+// Dump renders a function of p, one instruction per line with its
+// program-wide ID and string indices (debugging and the cmd/cminor
+// tool).
+func (f *Func) Dump(p *Program) string {
 	var sb strings.Builder
 	params := make([]string, len(f.Params))
-	for i, p := range f.Params {
-		params[i] = p.Name
+	for i, v := range f.Params {
+		params[i] = v.Name
 	}
 	fmt.Fprintf(&sb, "func %s(%s):\n", f.Name, strings.Join(params, ", "))
 	for _, in := range f.Instrs {
-		fmt.Fprintf(&sb, "  %4d  %s\n", in.ID, in)
+		c := *in
+		rebase := func(o Operand) Operand {
+			if o.Kind == StringOpd {
+				o.Str = p.StringID(in, o)
+			}
+			return o
+		}
+		c.Dst, c.Src, c.Base, c.Callee = rebase(c.Dst), rebase(c.Src), rebase(c.Base), rebase(c.Callee)
+		c.Args = make([]Operand, len(in.Args))
+		for i, a := range in.Args {
+			c.Args[i] = rebase(a)
+		}
+		fmt.Fprintf(&sb, "  %4d  %s\n", p.InstrID(in), &c)
 	}
 	return sb.String()
 }

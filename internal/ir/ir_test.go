@@ -61,7 +61,7 @@ func TestOpString(t *testing.T) {
 
 func TestDumpFormat(t *testing.T) {
 	p := lower(t, `int add(int a, int b) { return a + b; }`)
-	out := p.Funcs["add"].Dump()
+	out := p.Funcs["add"].Dump(p)
 	if !strings.HasPrefix(out, "func add(a, b):") {
 		t.Fatalf("dump header: %q", out)
 	}
@@ -99,7 +99,7 @@ char * g(char *s) {
 		}
 	}
 	if !found {
-		t.Fatalf("compound pointer assign lost flow:\n%s", fn.Dump())
+		t.Fatalf("compound pointer assign lost flow:\n%s", fn.Dump(p))
 	}
 }
 
@@ -161,7 +161,7 @@ long g(void) {
 		}
 	}
 	if !ok {
-		t.Fatalf("cast chain broke flow:\n%s", fn.Dump())
+		t.Fatalf("cast chain broke flow:\n%s", fn.Dump(p))
 	}
 }
 
@@ -198,7 +198,7 @@ long * g(struct s *p) { return &p->a; }`)
 	fn := p.Funcs["g"]
 	for _, in := range fn.Instrs {
 		if in.Op == FieldAddr {
-			t.Fatalf("offset-0 field address emitted ADD:\n%s", fn.Dump())
+			t.Fatalf("offset-0 field address emitted ADD:\n%s", fn.Dump(p))
 		}
 	}
 }

@@ -17,23 +17,25 @@ const InitFuncName = "__global_init"
 // half (Link); incremental analysis calls the halves separately,
 // reusing cached fragments for unchanged files.
 func Lower(info *cminor.Info, files ...*cminor.File) *Program {
+	globals := NewGlobalTable(info)
 	frags := make([]*Fragment, len(files))
 	for i, f := range files {
-		frags[i] = LowerFile(info, f)
+		frags[i] = LowerFile(info, globals, f)
 	}
-	return Link(info, frags)
+	return Link(info, globals, frags)
 }
 
 // builder lowers one file into a fragment. Variables are appended to
 // *sink (InitVars while lowering global initializers, BodyVars inside
-// functions) without IDs; Link assigns program-wide identity.
+// functions); instructions are numbered per segment in emission order.
 type builder struct {
-	frag *Fragment
-	info *cminor.Info
-	fn   *Func
-	sink *[]*Var
-	vars map[*cminor.VarObject]*Var
-	tmps int
+	frag    *Fragment
+	info    *cminor.Info
+	globals *GlobalTable
+	fn      *Func
+	sink    *[]*Var
+	vars    map[*cminor.VarObject]*Var
+	tmps    int
 }
 
 func (b *builder) newVar(name string, fn *Func) *Var {
@@ -49,23 +51,34 @@ func (b *builder) temp() *Var {
 	return v
 }
 
-// globalProxy returns the fragment's name-keyed stand-in for a program
-// global. Proxies live only in frag.Globals (never in a var sink);
-// Link replaces them with canonical globals.
-func (b *builder) globalProxy(name string) *Var {
-	if v, ok := b.frag.Globals[name]; ok {
+// global returns the canonical variable of a program global. A name
+// missing from the table (an Info and GlobalTable that do not belong
+// together) gets a fresh isolated global, so lowering never crashes.
+func (b *builder) global(name string) *Var {
+	if v, ok := b.globals.byName[name]; ok {
 		return v
 	}
-	v := &Var{Name: name, Global: true}
-	b.frag.Globals[name] = v
-	return v
+	return &Var{Name: name, Global: true}
+}
+
+// takeAddr records that v's address is taken: on the variable for
+// locals, in the fragment for globals (see Program.AddrTaken).
+func (b *builder) takeAddr(v *Var) {
+	if v.Global {
+		b.frag.addrGlobals = append(b.frag.addrGlobals, v)
+	} else {
+		v.addrTaken = true
+	}
 }
 
 func (b *builder) emit(in *Instr) *Instr {
 	in.Func = b.fn
 	if b.fn == nil {
+		in.id = len(b.frag.Init)
 		b.frag.Init = append(b.frag.Init, in)
 	} else {
+		in.id = b.frag.bodyInstrs
+		b.frag.bodyInstrs++
 		b.fn.Instrs = append(b.fn.Instrs, in)
 	}
 	return in
@@ -76,7 +89,7 @@ func constOpd(c int64) Operand { return Operand{Kind: ConstOpd, C: c} }
 
 func (b *builder) lowerFunc(fd *cminor.FuncDecl) {
 	fi := b.info.FuncInfo[fd]
-	fn := &Func{Name: fd.Name, Decl: fd, Variadic: fd.Variadic}
+	fn := &Func{Name: fd.Name, Decl: fd, Variadic: fd.Variadic, frag: b.frag}
 	if _, isVoid := b.info.Funcs[fd.Name].Type.Ret.(*cminor.VoidType); !isVoid {
 		fn.Ret = true
 	}
@@ -193,7 +206,7 @@ func (b *builder) expr(e cminor.Expr) Operand {
 			// storage.
 			if _, isArr := obj.Type.(*cminor.ArrayType); isArr {
 				t := b.temp()
-				v.AddrTaken = true
+				b.takeAddr(v)
 				b.emit(&Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(v), Pos: e.Pos})
 				return varOpd(t)
 			}
@@ -252,7 +265,7 @@ func (b *builder) expr(e cminor.Expr) Operand {
 }
 
 func (b *builder) globalFallback(obj *cminor.VarObject) *Var {
-	v := b.globalProxy(obj.Name)
+	v := b.global(obj.Name)
 	b.vars[obj] = v
 	return v
 }
@@ -279,7 +292,7 @@ func (b *builder) unary(e *cminor.Unary) Operand {
 func (b *builder) addressOf(x cminor.Expr, pos cminor.Pos) Operand {
 	pl := b.lvalue(x)
 	if pl.v != nil {
-		pl.v.AddrTaken = true
+		b.takeAddr(pl.v)
 		t := b.temp()
 		b.emit(&Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(pl.v), Pos: pos})
 		return varOpd(t)
@@ -384,7 +397,7 @@ func (b *builder) lvalue(e cminor.Expr) place {
 		}
 		inner := b.lvalue(e.X)
 		if inner.v != nil {
-			inner.v.AddrTaken = true
+			b.takeAddr(inner.v)
 			t := b.temp()
 			b.emit(&Instr{Op: Addr, Dst: varOpd(t), Src: varOpd(inner.v), Pos: e.Pos})
 			return place{base: varOpd(t), off: off}

@@ -115,8 +115,8 @@ int g(void) {
 	if addr == nil {
 		t.Fatal("no ADDR emitted for &x")
 	}
-	if addr.Src.Var.Name != "x" || !addr.Src.Var.AddrTaken {
-		t.Fatalf("ADDR of %v, AddrTaken=%v", addr.Src, addr.Src.Var.AddrTaken)
+	if addr.Src.Var.Name != "x" || !p.AddrTaken(addr.Src.Var) {
+		t.Fatalf("ADDR of %v, AddrTaken=%v", addr.Src, p.AddrTaken(addr.Src.Var))
 	}
 }
 
@@ -243,7 +243,7 @@ int g(void) {
     return p[2];
 }`)
 	fn := p.Funcs["g"]
-	text := fn.Dump()
+	text := fn.Dump(p)
 	if !strings.Contains(text, "ADDR a") {
 		t.Fatalf("array decay missing ADDR:\n%s", text)
 	}
@@ -278,22 +278,6 @@ int g(void) {
 	}
 }
 
-func TestInstrAndVarIDsAreDense(t *testing.T) {
-	p := lower(t, `
-int f(int x) { return x + 1; }
-int main(void) { return f(2); }`)
-	for i, in := range p.Instrs {
-		if in.ID != i {
-			t.Fatalf("instr %d has ID %d", i, in.ID)
-		}
-	}
-	for i, v := range p.Vars {
-		if v.ID != i {
-			t.Fatalf("var %d has ID %d", i, v.ID)
-		}
-	}
-}
-
 func TestLowerPointerArithmeticKeepsObject(t *testing.T) {
 	p := lower(t, `
 char * g(char *s) { return s + 4; }`)
@@ -307,6 +291,6 @@ char * g(char *s) { return s + 4; }`)
 		}
 	}
 	if !assignedFromS {
-		t.Fatalf("pointer arithmetic lost the object:\n%s", fn.Dump())
+		t.Fatalf("pointer arithmetic lost the object:\n%s", fn.Dump(p))
 	}
 }

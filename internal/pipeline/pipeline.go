@@ -15,7 +15,7 @@ package pipeline
 
 import (
 	"context"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"time"
 
@@ -50,8 +50,12 @@ type PhaseMetrics struct {
 	Name string
 	// Wall is the phase's wall-clock duration.
 	Wall time.Duration
-	// AllocBytes is the delta of runtime.MemStats.TotalAlloc across
-	// the phase: cumulative bytes allocated, not live heap.
+	// AllocBytes is the delta of the runtime's cumulative heap
+	// allocation counter (/gc/heap/allocs:bytes) across the phase:
+	// bytes allocated, not live heap. The counter is process-wide, so
+	// concurrent analyses charge each other's allocations, and the
+	// runtime updates it as allocation spans leave a P's cache, so a
+	// phase that allocates only a few KB may read as zero.
 	AllocBytes int64
 	// Outputs holds the relation sizes this phase produced or
 	// changed, when the state implements RelationSizer: every key
@@ -197,17 +201,14 @@ func (r *Runner[S]) Run(ctx context.Context, st S) (*Metrics, error) {
 			r.Observer.PhaseStart(ph.Name(), st)
 		}
 		pctx, span := trace.StartSpan(ctx, "phase:"+ph.Name())
-		var before runtime.MemStats
-		runtime.ReadMemStats(&before)
+		before := heapAllocs()
 		t0 := time.Now()
 		err := ph.Run(pctx, st)
 		wall := time.Since(t0)
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
 		pm := PhaseMetrics{
 			Name:       ph.Name(),
 			Wall:       wall,
-			AllocBytes: int64(after.TotalAlloc - before.TotalAlloc),
+			AllocBytes: int64(heapAllocs() - before),
 		}
 		if d, ok := ph.(InputDeclarer); ok {
 			pm.Inputs = d.Inputs()
@@ -218,9 +219,9 @@ func (r *Runner[S]) Run(ctx context.Context, st S) (*Metrics, error) {
 			prev = cur
 		}
 		if span != nil {
-			// The span's duration additionally covers the MemStats
-			// reads and the sizer snapshot; the wall attribute is the
-			// phase body alone.
+			// The span's duration additionally covers the allocation
+			// counter reads and the sizer snapshot; the wall attribute
+			// is the phase body alone.
 			span.End(phaseAttrs(pm)...)
 		}
 		m.Phases = append(m.Phases, pm)
@@ -235,6 +236,15 @@ func (r *Runner[S]) Run(ctx context.Context, st S) (*Metrics, error) {
 	}
 	m.Total = time.Since(start)
 	return m, nil
+}
+
+// heapAllocs reads the runtime's cumulative heap allocation counter.
+// Unlike runtime.ReadMemStats it does not stop the world, so metering a
+// phase never stalls concurrent analyses.
+func heapAllocs() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // phaseAttrs renders one phase's metrics as span attributes, outputs

@@ -185,3 +185,30 @@ func TestMetricsGetMissing(t *testing.T) {
 		t.Error("Get on empty metrics should be nil")
 	}
 }
+
+// sink keeps the allocation in TestAllocBytesAttributedToPhase alive
+// past the compiler's escape analysis.
+var sink []byte
+
+func TestAllocBytesAttributedToPhase(t *testing.T) {
+	const size = 4 << 20
+	r := NewRunner(
+		New("alloc", func(_ context.Context, _ *traceState) error {
+			sink = make([]byte, size)
+			return nil
+		}),
+		namedPhase("idle"),
+	)
+	m, err := r.Run(context.Background(), &traceState{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Large allocations reach the runtime counter immediately, so the
+	// phase that made one is charged at least its size.
+	if got := m.Get("alloc").AllocBytes; got < size {
+		t.Errorf("alloc phase AllocBytes = %d, want >= %d", got, size)
+	}
+	if got := m.Get("idle").AllocBytes; got >= size {
+		t.Errorf("idle phase AllocBytes = %d, charged the alloc phase's allocation", got)
+	}
+}

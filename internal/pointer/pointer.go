@@ -244,11 +244,11 @@ func (r *Result) PointsTo(v *ir.Var, ctx uint64) []Loc {
 	return sortedLocs(r.pts[r.key(v, ctx)])
 }
 
-// OperandPointsTo returns the location set an operand denotes in ctx
-// (variables read their points-to set; string operands denote their
-// literal object; everything else denotes nothing).
-func (r *Result) OperandPointsTo(o ir.Operand, ctx uint64) []Loc {
-	return r.evalOpd(o, ctx)
+// OperandPointsTo returns the location set operand o of instruction in
+// denotes in ctx (variables read their points-to set; string operands
+// denote their literal object; everything else denotes nothing).
+func (r *Result) OperandPointsTo(in *ir.Instr, o ir.Operand, ctx uint64) []Loc {
+	return r.evalOpd(in, o, ctx)
 }
 
 // HeapAt returns the location set stored at (obj, off), sorted.
@@ -425,7 +425,7 @@ func (r *Result) syncAddrTaken(f *ir.Func, ctx uint64) bool {
 	if r.addrTaken == nil {
 		r.addrTaken = make(map[*ir.Func][]*ir.Var)
 		for _, v := range r.Prog.Vars {
-			if v.AddrTaken {
+			if r.Prog.AddrTaken(v) {
 				r.addrTaken[v.Func] = append(r.addrTaken[v.Func], v)
 			}
 		}
@@ -461,13 +461,14 @@ func (r *Result) syncAddrTaken(f *ir.Func, ctx uint64) bool {
 	return changed
 }
 
-// evalOpd returns the location set an operand denotes in ctx.
-func (r *Result) evalOpd(o ir.Operand, ctx uint64) []Loc {
+// evalOpd returns the location set operand o of instruction in denotes
+// in ctx.
+func (r *Result) evalOpd(in *ir.Instr, o ir.Operand, ctx uint64) []Loc {
 	switch o.Kind {
 	case ir.VarOpd:
 		return sortedLocs(r.pts[r.key(o.Var, ctx)])
 	case ir.StringOpd:
-		id := r.intern(Obj{Kind: StringObj, Str: o.Str})
+		id := r.intern(Obj{Kind: StringObj, Str: r.Prog.StringID(in, o)})
 		return []Loc{{Obj: id}}
 	}
 	// Constants, nulls, and function operands carry no heap locations
@@ -490,7 +491,7 @@ func (r *Result) step(fn string, ctx uint64, in *ir.Instr) bool {
 	}
 	switch in.Op {
 	case ir.Assign:
-		flowTo(in.Dst, r.evalOpd(in.Src, ctx))
+		flowTo(in.Dst, r.evalOpd(in, in.Src, ctx))
 	case ir.Addr:
 		v := in.Src.Var
 		octx := ctx
@@ -500,7 +501,7 @@ func (r *Result) step(fn string, ctx uint64, in *ir.Instr) bool {
 		id := r.intern(Obj{Kind: VarStorageObj, Ctx: octx, Var: v})
 		flowTo(in.Dst, []Loc{{Obj: id}})
 	case ir.FieldAddr:
-		base := r.evalOpd(in.Base, ctx)
+		base := r.evalOpd(in, in.Base, ctx)
 		locs := make([]Loc, len(base))
 		for i, l := range base {
 			if l.Obj == r.topID && r.topID >= 0 {
@@ -512,7 +513,7 @@ func (r *Result) step(fn string, ctx uint64, in *ir.Instr) bool {
 		flowTo(in.Dst, locs)
 	case ir.Load:
 		var locs []Loc
-		for _, b := range r.evalOpd(in.Base, ctx) {
+		for _, b := range r.evalOpd(in, in.Base, ctx) {
 			if b.Obj == r.topID && r.topID >= 0 {
 				locs = append(locs, b) // load through ⊤ yields ⊤
 				continue
@@ -523,8 +524,8 @@ func (r *Result) step(fn string, ctx uint64, in *ir.Instr) bool {
 		}
 		flowTo(in.Dst, locs)
 	case ir.Store:
-		src := r.evalOpd(in.Src, ctx)
-		for _, b := range r.evalOpd(in.Base, ctx) {
+		src := r.evalOpd(in, in.Src, ctx)
+		for _, b := range r.evalOpd(in, in.Base, ctx) {
 			if b.Obj == r.topID && r.topID >= 0 {
 				continue // store through ⊤ dropped (unsound throttle)
 			}
@@ -549,18 +550,19 @@ func (r *Result) stepCall(fn string, ctx uint64, in *ir.Instr) bool {
 	changed := false
 	n := r.Numbering
 	// Defined callees: parameter/return wiring in the mapped context.
-	for _, callee := range n.G.Edges[in.ID] {
+	id := r.Prog.InstrID(in)
+	for _, callee := range n.G.Edges[id] {
 		target := r.Prog.Funcs[callee]
 		if target == nil || !n.G.Reachable[callee] {
 			continue
 		}
-		calleeCtx := n.MapContext(fn, ctx, contexts.Edge{Instr: in.ID, Callee: callee})
+		calleeCtx := n.MapContext(fn, ctx, contexts.Edge{Instr: id, Callee: callee})
 		for i, a := range in.Args {
 			if i >= len(target.Params) {
 				break
 			}
 			pk := r.key(target.Params[i], calleeCtx)
-			for _, l := range r.evalOpd(a, ctx) {
+			for _, l := range r.evalOpd(in, a, ctx) {
 				if r.addPts(pk, l) {
 					changed = true
 				}
@@ -590,7 +592,7 @@ func (r *Result) stepCall(fn string, ctx uint64, in *ir.Instr) bool {
 			argIdx := r.Config.OutAllocFns[name]
 			id := r.allocate(name, ctx, in)
 			if argIdx < len(in.Args) {
-				for _, b := range r.evalOpd(in.Args[argIdx], ctx) {
+				for _, b := range r.evalOpd(in, in.Args[argIdx], ctx) {
 					if b.Obj == r.topID && r.topID >= 0 {
 						continue // store through ⊤ dropped
 					}
@@ -603,7 +605,7 @@ func (r *Result) stepCall(fn string, ctx uint64, in *ir.Instr) bool {
 			argIdx := r.Config.ReturnArgFns[name]
 			if argIdx < len(in.Args) && in.Dst.Kind == ir.VarOpd {
 				dk := r.key(in.Dst.Var, ctx)
-				for _, l := range r.evalOpd(in.Args[argIdx], ctx) {
+				for _, l := range r.evalOpd(in, in.Args[argIdx], ctx) {
 					if r.addPts(dk, l) {
 						changed = true
 					}
@@ -641,7 +643,7 @@ func (r *Result) allocate(fnName string, ctx uint64, in *ir.Instr) int {
 		octx = 0
 	}
 	id := r.intern(Obj{Kind: AllocObj, Ctx: octx, Site: in, Fn: fnName})
-	r.allocAt[varKey2{ctx, in.ID}] = id
+	r.allocAt[varKey2{ctx, r.Prog.InstrID(in)}] = id
 	return id
 }
 

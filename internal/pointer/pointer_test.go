@@ -321,7 +321,7 @@ int main(void) {
 			call = in
 		}
 	}
-	id := r.AllocObjAt(0, call.ID)
+	id := r.AllocObjAt(0, r.Prog.InstrID(call))
 	if id < 0 {
 		t.Fatal("AllocObjAt found nothing")
 	}

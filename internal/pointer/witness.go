@@ -27,7 +27,7 @@ func (r *Result) HeapWitness(obj int, off int64, dst Loc) (*ir.Instr, uint64, bo
 				switch in.Op {
 				case ir.Store:
 					hit := false
-					for _, b := range r.evalOpd(in.Base, ctx) {
+					for _, b := range r.evalOpd(in, in.Base, ctx) {
 						if b.Obj == obj && b.Off+in.Off == off {
 							hit = true
 							break
@@ -36,13 +36,13 @@ func (r *Result) HeapWitness(obj int, off int64, dst Loc) (*ir.Instr, uint64, bo
 					if !hit {
 						continue
 					}
-					for _, l := range r.evalOpd(in.Src, ctx) {
+					for _, l := range r.evalOpd(in, in.Src, ctx) {
 						if l == dst {
 							return in, ctx, true
 						}
 					}
 				case ir.Call:
-					if dst.Off != 0 || r.AllocObjAt(ctx, in.ID) != dst.Obj {
+					if dst.Off != 0 || r.AllocObjAt(ctx, r.Prog.InstrID(in)) != dst.Obj {
 						continue
 					}
 					for _, name := range r.externCallees(in) {
@@ -50,7 +50,7 @@ func (r *Result) HeapWitness(obj int, off int64, dst Loc) (*ir.Instr, uint64, bo
 						if !ok || argIdx >= len(in.Args) {
 							continue
 						}
-						for _, b := range r.evalOpd(in.Args[argIdx], ctx) {
+						for _, b := range r.evalOpd(in, in.Args[argIdx], ctx) {
 							if b.Obj == obj && b.Off == off {
 								return in, ctx, true
 							}
