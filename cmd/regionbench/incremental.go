@@ -17,10 +17,14 @@ import (
 // incrementalDoc is the -edit-loop output (schema
 // regionbench/incremental/v1): a cold full analysis of the largest
 // workload split into files, then N steady-state single-file edits
-// re-analyzed through the snapshot path, with the latency of each.
+// re-analyzed through the snapshot path, with the latency and the
+// per-phase wall time and allocation of each.
 type incrementalDoc struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
+	// HostCPUs is runtime.NumCPU() on the machine that produced the
+	// document.
+	HostCPUs int `json:"host_cpus"`
 	// Workload is the analyzed executable; Files the number of source
 	// files after splitting (shared library included).
 	Workload string `json:"workload"`
@@ -32,6 +36,18 @@ type incrementalDoc struct {
 	// cold_full_ms / median_step_ms.
 	MedianStepMS float64 `json:"median_step_ms"`
 	Speedup      float64 `json:"speedup"`
+	// MedianPhases is, per phase, the median over the steps of its
+	// wall time and allocation.
+	MedianPhases []stepPhase `json:"median_phases"`
+}
+
+// stepPhase is one phase's cost in an edit step (or the median over
+// steps). Allocation is the process-wide counter, exact here because
+// the edit loop runs one analysis at a time.
+type stepPhase struct {
+	Name       string  `json:"name"`
+	TimeMS     float64 `json:"time_ms"`
+	AllocBytes int64   `json:"alloc_bytes"`
 }
 
 type editStep struct {
@@ -40,11 +56,12 @@ type editStep struct {
 	TimeMS float64 `json:"time_ms"`
 	// FilesReused / FilesReparsed count per-file parse reuse; the other
 	// counters confirm the check/lower/callgraph fast paths held.
-	FilesReused     int  `json:"files_reused"`
-	FilesReparsed   int  `json:"files_reparsed"`
-	CheckReused     int  `json:"check_reused"`
-	LowerReused     int  `json:"lower_reused"`
-	CallGraphDirect bool `json:"callgraph_direct"`
+	FilesReused     int         `json:"files_reused"`
+	FilesReparsed   int         `json:"files_reparsed"`
+	CheckReused     int         `json:"check_reused"`
+	LowerReused     int         `json:"lower_reused"`
+	CallGraphDirect bool        `json:"callgraph_direct"`
+	Phases          []stepPhase `json:"phases"`
 }
 
 // editLoopChunks is how many files the workload's executable is split
@@ -85,6 +102,7 @@ func runEditLoop(path string, steps int, seed int64, pkgs []*workloads.Package) 
 	doc := incrementalDoc{
 		Schema:     "regionbench/incremental/v1",
 		Seed:       seed,
+		HostCPUs:   runtime.NumCPU(),
 		Workload:   exe.Name,
 		Files:      len(sources),
 		ColdFullMS: ms(cold),
@@ -105,6 +123,10 @@ func runEditLoop(path string, steps int, seed int64, pkgs []*workloads.Package) 
 		}
 		wall := time.Since(t)
 		snap = next
+		var phases []stepPhase
+		for _, ph := range a.Report.Stats.Phases {
+			phases = append(phases, stepPhase{Name: ph.Name, TimeMS: ms(ph.Time), AllocBytes: ph.AllocBytes})
+		}
 		doc.Steps = append(doc.Steps, editStep{
 			Step:            i + 1,
 			File:            p,
@@ -114,6 +136,7 @@ func runEditLoop(path string, steps int, seed int64, pkgs []*workloads.Package) 
 			CheckReused:     a.Front.CheckReused,
 			LowerReused:     a.Front.LowerReused,
 			CallGraphDirect: a.Front.CallGraphDirect,
+			Phases:          phases,
 		})
 		last := a
 		if i == steps-1 {
@@ -138,6 +161,16 @@ func runEditLoop(path string, steps int, seed int64, pkgs []*workloads.Package) 
 		doc.MedianStepMS = times[len(times)/2]
 		if doc.MedianStepMS > 0 {
 			doc.Speedup = doc.ColdFullMS / doc.MedianStepMS
+		}
+		for i, ph := range doc.Steps[0].Phases {
+			wall := make([]float64, len(doc.Steps))
+			alloc := make([]int64, len(doc.Steps))
+			for j, s := range doc.Steps {
+				wall[j], alloc[j] = s.Phases[i].TimeMS, s.Phases[i].AllocBytes
+			}
+			sort.Float64s(wall)
+			sort.Slice(alloc, func(a, b int) bool { return alloc[a] < alloc[b] })
+			doc.MedianPhases = append(doc.MedianPhases, stepPhase{Name: ph.Name, TimeMS: wall[len(wall)/2], AllocBytes: alloc[len(alloc)/2]})
 		}
 	}
 

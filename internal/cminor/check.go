@@ -444,7 +444,15 @@ func (c *checker) checkFuncBody(fd *FuncDecl) {
 		if name == "" {
 			name = fmt.Sprintf("__arg%d", i)
 		}
-		v := &VarObject{Name: name, Type: obj.Type.Params[i], Param: true, Func: fd}
+		// A rejected redefinition keeps the first definition's type,
+		// whose parameter list may be shorter.
+		var pt Type
+		if i < len(obj.Type.Params) {
+			pt = obj.Type.Params[i]
+		} else {
+			pt = c.resolve(p.Type, p.Pos)
+		}
+		v := &VarObject{Name: name, Type: pt, Param: true, Func: fd}
 		fi.Params = append(fi.Params, v)
 		c.define(v, p.Pos)
 	}

@@ -222,11 +222,11 @@ func sigExpr(sb *strings.Builder, e Expr) {
 // exactly as before).
 func HasBodyTypeDefs(f *File) bool {
 	found := false
-	seeDef := func(te TypeExpr) {
+	seeDef := visitor{typ: func(te TypeExpr) {
 		if typeHasDef(te) {
 			found = true
 		}
-	}
+	}}
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *VarDecl:
@@ -268,89 +268,115 @@ func typeHasDef(te TypeExpr) bool {
 	return false
 }
 
-// walkStmt visits every type expression reachable from a statement:
-// local declaration types and the types buried in casts and sizeofs.
-func walkStmt(s Stmt, seeType func(TypeExpr)) {
+// visitor receives what a walk meets: the type expressions of local
+// declarations, casts and sizeofs, and every identifier. Either
+// callback may be nil.
+type visitor struct {
+	typ   func(TypeExpr)
+	ident func(*Ident)
+}
+
+// StmtIdents calls see with every identifier in a statement — a
+// function body, say — in source order.
+func StmtIdents(s Stmt, see func(*Ident)) { walkStmt(s, visitor{ident: see}) }
+
+// ExprIdents calls see with every identifier in an expression, in
+// source order.
+func ExprIdents(e Expr, see func(*Ident)) { walkExpr(e, visitor{ident: see}) }
+
+// walkStmt visits every type expression and identifier reachable from
+// a statement.
+func walkStmt(s Stmt, v visitor) {
 	switch s := s.(type) {
 	case nil:
 	case *Block:
 		for _, st := range s.Stmts {
-			walkStmt(st, seeType)
+			walkStmt(st, v)
 		}
 	case *DeclStmt:
-		seeType(s.Decl.Type)
+		if v.typ != nil {
+			v.typ(s.Decl.Type)
+		}
 		if s.Decl.Init != nil {
-			walkExpr(s.Decl.Init, seeType)
+			walkExpr(s.Decl.Init, v)
 		}
 	case *ExprStmt:
-		walkExpr(s.X, seeType)
+		walkExpr(s.X, v)
 	case *If:
-		walkExpr(s.Cond, seeType)
-		walkStmt(s.Then, seeType)
-		walkStmt(s.Else, seeType)
+		walkExpr(s.Cond, v)
+		walkStmt(s.Then, v)
+		walkStmt(s.Else, v)
 	case *While:
-		walkExpr(s.Cond, seeType)
-		walkStmt(s.Body, seeType)
+		walkExpr(s.Cond, v)
+		walkStmt(s.Body, v)
 	case *For:
-		walkStmt(s.Init, seeType)
+		walkStmt(s.Init, v)
 		if s.Cond != nil {
-			walkExpr(s.Cond, seeType)
+			walkExpr(s.Cond, v)
 		}
 		if s.Post != nil {
-			walkExpr(s.Post, seeType)
+			walkExpr(s.Post, v)
 		}
-		walkStmt(s.Body, seeType)
+		walkStmt(s.Body, v)
 	case *Switch:
-		walkExpr(s.Cond, seeType)
+		walkExpr(s.Cond, v)
 		for i := range s.Cases {
-			for _, v := range s.Cases[i].Values {
-				walkExpr(v, seeType)
+			for _, val := range s.Cases[i].Values {
+				walkExpr(val, v)
 			}
 			for _, st := range s.Cases[i].Body {
-				walkStmt(st, seeType)
+				walkStmt(st, v)
 			}
 		}
 	case *Return:
 		if s.X != nil {
-			walkExpr(s.X, seeType)
+			walkExpr(s.X, v)
 		}
 	}
 }
 
-func walkExpr(e Expr, seeType func(TypeExpr)) {
+func walkExpr(e Expr, v visitor) {
 	switch e := e.(type) {
 	case nil:
+	case *Ident:
+		if v.ident != nil {
+			v.ident(e)
+		}
 	case *Unary:
-		walkExpr(e.X, seeType)
+		walkExpr(e.X, v)
 	case *Postfix:
-		walkExpr(e.X, seeType)
+		walkExpr(e.X, v)
 	case *Binary:
-		walkExpr(e.X, seeType)
-		walkExpr(e.Y, seeType)
+		walkExpr(e.X, v)
+		walkExpr(e.Y, v)
 	case *AssignExpr:
-		walkExpr(e.LHS, seeType)
-		walkExpr(e.RHS, seeType)
+		walkExpr(e.LHS, v)
+		walkExpr(e.RHS, v)
 	case *CondExpr:
-		walkExpr(e.Cond, seeType)
-		walkExpr(e.Then, seeType)
-		walkExpr(e.Else, seeType)
+		walkExpr(e.Cond, v)
+		walkExpr(e.Then, v)
+		walkExpr(e.Else, v)
 	case *Call:
-		walkExpr(e.Fun, seeType)
+		walkExpr(e.Fun, v)
 		for _, a := range e.Args {
-			walkExpr(a, seeType)
+			walkExpr(a, v)
 		}
 	case *Index:
-		walkExpr(e.X, seeType)
-		walkExpr(e.I, seeType)
+		walkExpr(e.X, v)
+		walkExpr(e.I, v)
 	case *FieldAccess:
-		walkExpr(e.X, seeType)
+		walkExpr(e.X, v)
 	case *Cast:
-		seeType(e.Type)
-		walkExpr(e.X, seeType)
+		if v.typ != nil {
+			v.typ(e.Type)
+		}
+		walkExpr(e.X, v)
 	case *SizeofType:
-		seeType(e.Type)
+		if v.typ != nil {
+			v.typ(e.Type)
+		}
 	case *SizeofExpr:
-		walkExpr(e.X, seeType)
+		walkExpr(e.X, v)
 	}
 }
 

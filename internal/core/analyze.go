@@ -168,9 +168,11 @@ type Analysis struct {
 	// that will produce a Snapshot; prev is the base snapshot of an
 	// incremental run; changed/digests are per-path parse results;
 	// declSigs/bodyDefs cache signature computations for the new
-	// snapshot; fragments collects the per-file IR (reused or fresh)
-	// and globals the table they were lowered against;
-	// incrementalCheck records that check reused prev's declarations.
+	// snapshot; fragments collects the per-file IR (reused or fresh),
+	// liveIn each file's lowered functions (ir.LiveIn), checkedBy the
+	// check facts each file was lowered from, and globals the table
+	// they were lowered against; incrementalCheck records that check
+	// reused prev's declarations.
 	snapshotting     bool
 	prev             *Snapshot
 	changed          map[string]bool
@@ -178,6 +180,8 @@ type Analysis struct {
 	declSigs         map[string]string
 	bodyDefs         map[string]bool
 	fragments        map[string]*ir.Fragment
+	liveIn           map[string][]string
+	checkedBy        map[string]*cminor.Info
 	globals          *ir.GlobalTable
 	incrementalCheck bool
 

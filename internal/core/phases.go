@@ -132,64 +132,48 @@ func frontEndPhases() []pipeline.Phase[*Analysis] {
 func analysisPhases() []pipeline.Phase[*Analysis] {
 	return []pipeline.Phase[*Analysis]{
 		pipeline.WithInputs(pipeline.New(PhaseLower, func(_ context.Context, a *Analysis) error {
-			if a.snapshotting {
-				// Per-file fragments, reused from the base when the file
-				// is unchanged and the declaration environment held
-				// (fragments bake in type layouts, symbol kinds, and the
-				// base's global table, so a full fallback check
-				// invalidates all of them). Fresh lowers run in
-				// parallel: LowerFile only reads a.Info and the table,
-				// and Link numbers the program in file order, so the
-				// linked program is schedule-independent.
-				if a.incrementalCheck {
-					a.globals = a.prev.globals
-				} else {
-					a.globals = ir.NewGlobalTable(a.Info)
-				}
-				frags := make([]*ir.Fragment, len(a.Files))
-				a.fragments = make(map[string]*ir.Fragment, len(a.Files))
-				var toLower []int
-				for i, f := range a.Files {
-					if a.incrementalCheck && !a.changed[f.Path] {
-						frags[i] = a.prev.frags[f.Path]
-						a.Front.LowerReused++
-					} else {
-						toLower = append(toLower, i)
-						a.Front.LowerLowered++
+			entries, err := a.resolveEntries()
+			if err != nil {
+				return err
+			}
+			// Lower only what the entries can reach (ir.LiveFuncs, a
+			// superset of the call graph's reachable set), one fragment
+			// per file, then link in file order. Fresh lowers run in
+			// parallel: LowerFile only reads check facts and the table,
+			// and Link numbers the program in file order, so the linked
+			// program is schedule-independent.
+			live := ir.LiveFuncs(a.Files, entries)
+			if a.incrementalCheck {
+				a.globals = a.prev.globals
+			} else {
+				a.globals = ir.NewGlobalTable(a.Info)
+			}
+			frags := make([]*ir.Fragment, len(a.Files))
+			infos := make([]*cminor.Info, len(a.Files))
+			var toLower []int
+			for i, f := range a.Files {
+				infos[i] = a.Info
+				if a.snapshotting {
+					if frags[i], infos[i] = a.reuseFragment(f, live); frags[i] != nil {
+						continue
 					}
 				}
-				parallelFor(a.Opts.Solver.Workers, len(toLower), func(j int) {
-					i := toLower[j]
-					frags[i] = ir.LowerFile(a.Info, a.globals, a.Files[i])
-				})
+				toLower = append(toLower, i)
+			}
+			parallelFor(a.Opts.Solver.Workers, len(toLower), func(j int) {
+				i := toLower[j]
+				frags[i] = ir.LowerFile(infos[i], a.globals, a.Files[i], live)
+			})
+			if a.snapshotting {
+				a.fragments = make(map[string]*ir.Fragment, len(a.Files))
 				for i, f := range a.Files {
 					a.fragments[f.Path] = frags[i]
 				}
-				a.Prog = ir.Link(a.Info, a.globals, frags)
-			} else if a.Opts.Solver.Workers > 1 && len(a.Files) > 1 {
-				// Plain mode, parallel: per-file fragments linked in
-				// file order. ir.Link documents byte-identity with the
-				// single-pass Lower.
-				globals := ir.NewGlobalTable(a.Info)
-				frags := make([]*ir.Fragment, len(a.Files))
-				parallelFor(a.Opts.Solver.Workers, len(a.Files), func(i int) {
-					frags[i] = ir.LowerFile(a.Info, globals, a.Files[i])
-				})
-				a.Prog = ir.Link(a.Info, globals, frags)
-			} else {
-				a.Prog = ir.Lower(a.Info, a.Files...)
 			}
-			entries := a.Opts.Entries
-			if len(entries) == 0 {
-				if _, ok := a.Prog.Funcs[a.Opts.Entry]; !ok {
-					return Errf(ErrResolve, "", "entry function %q not defined", a.Opts.Entry)
-				}
-				entries = []string{a.Opts.Entry}
-			} else {
-				for _, e := range entries {
-					if _, ok := a.Prog.Funcs[e]; !ok {
-						return Errf(ErrResolve, "", "entry function %q not defined", e)
-					}
+			a.Prog = ir.Link(a.Info, a.globals, frags)
+			for _, e := range entries {
+				if _, ok := a.Prog.Funcs[e]; !ok {
+					return Errf(ErrResolve, "", "entry function %q not defined", e)
 				}
 			}
 			a.entries = entries
@@ -256,6 +240,28 @@ func analysisPhases() []pipeline.Phase[*Analysis] {
 			return nil
 		}), "object_pairs"),
 	}
+}
+
+// resolveEntries returns the analysis roots: Options.Entries when set
+// (an empty, non-nil Entries is the open-program mode and means every
+// defined function), Options.Entry otherwise. The lower phase checks
+// that each root is defined once the program is linked.
+func (a *Analysis) resolveEntries() ([]string, error) {
+	switch {
+	case a.Opts.Entries == nil:
+		return []string{a.Opts.Entry}, nil
+	case len(a.Opts.Entries) > 0:
+		return a.Opts.Entries, nil
+	}
+	var all []string
+	for _, f := range a.Files {
+		all = append(all, ir.LiveIn(f, nil)...)
+	}
+	if len(all) == 0 {
+		return nil, Errf(ErrResolve, "", "open program defines no function to use as an entry")
+	}
+	sort.Strings(all)
+	return all, nil
 }
 
 // runPhases executes a phase list over a and folds the pipeline

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 
 	"repro/internal/cminor"
@@ -39,7 +40,8 @@ type FrontEndStats struct {
 
 // Snapshot is the reusable front-end state of one successful
 // snapshot-backed run: parsed files, their declaration signatures, and
-// lowered IR fragments, keyed by per-file content digest. Snapshots
+// lowered IR fragments, keyed by per-file content digest and, for
+// fragments, by the file's live functions. Snapshots
 // are immutable — an incremental run reads its base and builds a new
 // snapshot — so one base can serve concurrent deltas.
 type Snapshot struct {
@@ -52,6 +54,15 @@ type Snapshot struct {
 	sigs     map[string]string // cminor.DeclSignature per file
 	bodyDefs map[string]bool   // cminor.HasBodyTypeDefs per file
 	frags    map[string]*ir.Fragment
+	// liveIn lists, per file, the functions its fragment holds
+	// (ir.LiveIn): a fragment is reused only when both the file's
+	// digest and this list are unchanged.
+	liveIn map[string][]string
+	// checkedBy maps each file to the check whose per-node facts cover
+	// it: this run's for files it checked, an earlier run's for files
+	// an incremental check skipped. Re-lowering an unchanged file whose
+	// live list moved reads its facts there.
+	checkedBy map[string]*cminor.Info
 	// globals is the table every fragment was lowered against; it is
 	// reused exactly when the fragments are.
 	globals *ir.GlobalTable
@@ -110,8 +121,10 @@ func AnalyzeSourceSnapshot(ctx context.Context, opts Options, sources map[string
 // changed maps paths to new content (edits and additions), removed
 // lists deleted paths. Front-end work is reused per file — unchanged
 // files skip parse, check, and lower entirely when the edit preserves
-// every declaration signature; any signature change falls back to a
-// full re-check while still reusing unchanged parses. The back half
+// every declaration signature and the set of the file's functions the
+// entries reach (an unchanged file whose live functions moved is
+// lowered again); any signature change falls back to a full re-check
+// while still reusing unchanged parses. The back half
 // (contexts through post) always re-solves, so the resulting report is
 // byte-identical to a from-scratch run over the same sources. opts
 // must fingerprint-equal the snapshot's options (Observer and BDD
@@ -180,6 +193,37 @@ func (a *Analysis) tryIncrementalCheck() bool {
 	return true
 }
 
+// reuseFragment handles one file of a snapshot-backed lower phase: it
+// records the file's live list and the check facts that cover it, and
+// returns the base's fragment when that can be reused — the file is
+// unchanged, the declaration environment held (fragments bake in type
+// layouts, symbol kinds and the global table, so a full re-check
+// invalidates all of them), and the file's live list is the one the
+// fragment was lowered for. Otherwise it returns a nil fragment and the
+// facts to lower the file with: this run's check for a file it checked,
+// the base's record for an unchanged file whose live list moved (an
+// incremental check holds facts only for the files it re-checked).
+func (a *Analysis) reuseFragment(f *cminor.File, live map[string]bool) (*ir.Fragment, *cminor.Info) {
+	if a.liveIn == nil {
+		a.liveIn = make(map[string][]string, len(a.Files))
+		a.checkedBy = make(map[string]*cminor.Info, len(a.Files))
+	}
+	in := ir.LiveIn(f, live)
+	a.liveIn[f.Path] = in
+	info, reuse := a.Info, false
+	if a.incrementalCheck && !a.changed[f.Path] {
+		info = a.prev.checkedBy[f.Path]
+		reuse = slices.Equal(in, a.prev.liveIn[f.Path])
+	}
+	a.checkedBy[f.Path] = info
+	if reuse {
+		a.Front.LowerReused++
+		return a.prev.frags[f.Path], info
+	}
+	a.Front.LowerLowered++
+	return nil, info
+}
+
 // buildSnapshot captures the run's reusable front-end state. Called
 // only after a fully successful run, so every snapshot is error-free
 // by construction. Signatures and fragment/file tables are inherited
@@ -194,6 +238,8 @@ func (a *Analysis) buildSnapshot() *Snapshot {
 		sigs:        make(map[string]string, len(a.Files)),
 		bodyDefs:    make(map[string]bool, len(a.Files)),
 		frags:       a.fragments,
+		liveIn:      a.liveIn,
+		checkedBy:   a.checkedBy,
 		globals:     a.globals,
 		info:        a.Info,
 		hasImplicit: cminor.HasImplicitFuncs(a.Info),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -346,6 +347,97 @@ func TestConcurrentIncrementalFromOneSnapshot(t *testing.T) {
 		}
 		if s := stableReport(t, got[i].Report); s != want[i%len(bodies)] {
 			t.Fatalf("concurrent delta %d differs from from-scratch:\ngot:  %s\nwant: %s", i, s, want[i%len(bodies)])
+		}
+	}
+}
+
+// liveSources is a two-file program whose lib.c defines two linkers;
+// main.c declares both, so body edits in main.c keep its declaration
+// signature while changing which lib.c functions main can reach.
+func liveSources(body string) map[string]string {
+	return map[string]string{
+		"lib.c": rcPrelude + `
+struct conn_t { int fd; struct conn_t *next; };
+struct conn_t *mkconn(region_t *r) {
+    struct conn_t *c;
+    c = ralloc(r);
+    return c;
+}
+void conn_link(struct conn_t *x, struct conn_t *y) {
+    x->next = y;
+}
+void conn_back(struct conn_t *x, struct conn_t *y) {
+    y->next = x;
+}`,
+		"main.c": rcPrelude + `
+struct conn_t;
+extern struct conn_t *mkconn(region_t *r);
+extern void conn_link(struct conn_t *x, struct conn_t *y);
+extern void conn_back(struct conn_t *x, struct conn_t *y);
+int main(void) {
+    region_t *r;
+    region_t *subr;
+    struct conn_t *a;
+    struct conn_t *b;
+    r = rnew(NULL);
+    subr = rnew(r);
+    a = mkconn(r);
+    b = mkconn(subr);
+` + body + `
+    return 0;
+}`,
+	}
+}
+
+// TestIncrementalLiveSetChanges edits main.c so that the set of lib.c
+// functions main reaches changes while lib.c itself does not: once by
+// adding a call into conn_back, dead until then, and once by removing
+// the only call to conn_link. lib.c's cached fragment holds the old
+// live set, so it must be lowered again; each chained report must equal
+// a from-scratch analysis, on both backends.
+func TestIncrementalLiveSetChanges(t *testing.T) {
+	ctx := context.Background()
+	steps := []struct {
+		name, body string
+		live       []string // lib.c's lowered functions after the edit
+	}{
+		{"base", "conn_link(b, a);", []string{"mkconn", "conn_link"}},
+		{"call a dead function", "conn_link(b, a); conn_back(b, a);", []string{"mkconn", "conn_link", "conn_back"}},
+		{"remove the only call", "conn_back(b, a);", []string{"mkconn", "conn_back"}},
+	}
+	for _, be := range []Backend{ExplicitBackend, BDDBackend} {
+		opts := Options{Solver: SolverOptions{Backend: be}}
+		a, snap, err := AnalyzeSourceSnapshot(ctx, opts, liveSources(steps[0].body))
+		if err != nil {
+			t.Fatalf("%v base analyze: %v", be, err)
+		}
+		for i, st := range steps {
+			if i > 0 {
+				a, snap, err = AnalyzeIncremental(ctx, opts, snap,
+					map[string]string{"main.c": liveSources(st.body)["main.c"]}, nil)
+				if err != nil {
+					t.Fatalf("%v %s: %v", be, st.name, err)
+				}
+				if a.Front.CheckReused != 1 || a.Front.LowerReused != 0 || a.Front.LowerLowered != 2 {
+					t.Fatalf("%v %s: check reused %d, lower reused %d / lowered %d; want lib.c checked from the base but lowered again",
+						be, st.name, a.Front.CheckReused, a.Front.LowerReused, a.Front.LowerLowered)
+				}
+			}
+			if got := snap.liveIn["lib.c"]; !slices.Equal(got, st.live) {
+				t.Fatalf("%v %s: lib.c live list %v, want %v", be, st.name, got, st.live)
+			}
+			full, err := AnalyzeSource(opts, liveSources(st.body))
+			if err != nil {
+				t.Fatalf("%v %s from scratch: %v", be, st.name, err)
+			}
+			if got, want := stableReport(t, a.Report), stableReport(t, full.Report); got != want {
+				t.Fatalf("%v %s: incremental report differs from from-scratch:\nincremental: %s\nfull:        %s", be, st.name, got, want)
+			}
+		}
+		// conn_back stores the subregion's object into the parent's:
+		// the edit that reached it must have surfaced that warning.
+		if len(a.Report.Warnings) == 0 {
+			t.Fatalf("%v: no warning once conn_back is reachable", be)
 		}
 	}
 }

@@ -39,10 +39,11 @@ func NewGlobalTable(info *cminor.Info) *GlobalTable {
 // program-wide identity: instruction IDs and string indices are
 // fragment-local (Program.InstrID and Program.StringID rebase them),
 // and globals are the canonical variables of the GlobalTable it was
-// lowered against. A fragment thus depends only on its own file's AST
-// and the declaration environment (types, layouts, signatures). As long
-// as that environment is unchanged (see cminor.DeclSignature), a
-// fragment can be cached by file digest and linked into any number of
+// lowered against. A fragment thus depends only on its own file's AST,
+// the declaration environment (types, layouts, signatures), and the
+// list of its functions that were lowered (LiveIn). As long as all
+// three are unchanged (see cminor.DeclSignature), a fragment can be
+// cached by file digest and live list and linked into any number of
 // programs. Nothing mutates a fragment after LowerFile returns, so one
 // fragment may be shared by concurrent links and analyses.
 type Fragment struct {
@@ -53,7 +54,7 @@ type Fragment struct {
 	// nil here; Link clones both into the synthetic init function.
 	Init     []*Instr
 	InitVars []*Var
-	// Funcs are the file's defined functions in declaration order.
+	// Funcs are the file's lowered functions in declaration order.
 	// BodyVars lists every function-local variable (parameters, return
 	// slots, locals, temporaries) in creation order; each knows its
 	// Func.
@@ -75,8 +76,10 @@ type Fragment struct {
 // LowerFile lowers one checked file into a reusable fragment. info
 // must cover the file (a full check, or an incremental check that
 // re-checked it), and globals must come from NewGlobalTable over the
-// declaration environment info shares.
-func LowerFile(info *cminor.Info, globals *GlobalTable, f *cminor.File) *Fragment {
+// declaration environment info shares. Only the defined functions in
+// live are lowered (see LiveFuncs); a nil live lowers every one. The
+// global initializers are always lowered.
+func LowerFile(info *cminor.Info, globals *GlobalTable, f *cminor.File, live map[string]bool) *Fragment {
 	b := &builder{
 		frag:    &Fragment{Path: f.Path},
 		info:    info,
@@ -99,7 +102,7 @@ func LowerFile(info *cminor.Info, globals *GlobalTable, f *cminor.File) *Fragmen
 	// Function bodies.
 	b.sink = &b.frag.BodyVars
 	for _, d := range f.Decls {
-		if fd, ok := d.(*cminor.FuncDecl); ok && fd.Body != nil {
+		if fd, ok := d.(*cminor.FuncDecl); ok && lowered(fd, live) {
 			b.lowerFunc(fd)
 		}
 	}
@@ -113,7 +116,8 @@ func LowerFile(info *cminor.Info, globals *GlobalTable, f *cminor.File) *Fragmen
 // historical single-pass Lower exactly: every fragment's initializer
 // segment first (file order), then every fragment's function bodies —
 // so reports are byte-identical whether a fragment was freshly lowered
-// or replayed from a cache.
+// or replayed from a cache. A function left out of its fragment by the
+// live set is neither in Funcs nor in Externs.
 func Link(info *cminor.Info, globals *GlobalTable, frags []*Fragment) *Program {
 	prog := &Program{
 		Funcs:       make(map[string]*Func),

@@ -210,7 +210,7 @@ type StringLit struct {
 // program-wide numbering (InstrID, StringID) and the address-taken bits
 // of globals (AddrTaken).
 type Program struct {
-	Funcs   map[string]*Func
+	Funcs   map[string]*Func              // the lowered defined functions
 	Externs map[string]*cminor.FuncObject // declared but not defined
 	Globals map[string]*Var               // the GlobalTable's map: read-only
 	Strings []StringLit

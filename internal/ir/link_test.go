@@ -122,7 +122,7 @@ func TestProgramIDsAreDenseAcrossFiles(t *testing.T) {
 	globals := ir.NewGlobalTable(info)
 	frags := make([]*ir.Fragment, len(files))
 	for i, f := range files {
-		frags[i] = ir.LowerFile(info, globals, f)
+		frags[i] = ir.LowerFile(info, globals, f, nil)
 	}
 	p := ir.Link(info, globals, frags)
 	checkProgram(t, p)
@@ -187,9 +187,11 @@ func TestProgramIDsAreDenseAcrossFiles(t *testing.T) {
 
 // FuzzLower feeds raw bytes, split into files at form feeds, through
 // parse, check, per-file lowering, and link, and asserts the program
-// invariants of checkProgram on every clean input; the whole analysis
-// must then return without panicking. Seeds from the examples live in
-// testdata/fuzz/FuzzLower and run as regression cases under go test.
+// invariants of checkProgram on every clean input, for the whole
+// program and for the one pruned to what main can reach (checkPruned);
+// the whole analysis must then return without panicking. Seeds from
+// the examples live in testdata/fuzz/FuzzLower and run as regression
+// cases under go test.
 //
 // Run bounded in CI: go test ./internal/ir -run '^$' -fuzz FuzzLower -fuzztime 10s
 func FuzzLower(f *testing.F) {
@@ -202,6 +204,7 @@ func FuzzLower(f *testing.F) {
 	}
 	f.Add([]byte(sb.String()))
 	f.Add([]byte("int main(void) { return 0; }"))
+	f.Add([]byte(liveFixture))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		parts := strings.Split(string(src), "\f")
 		if len(parts) > 8 {
@@ -220,9 +223,10 @@ func FuzzLower(f *testing.F) {
 		globals := ir.NewGlobalTable(info)
 		frags := make([]*ir.Fragment, len(files))
 		for i, file := range files {
-			frags[i] = ir.LowerFile(info, globals, file)
+			frags[i] = ir.LowerFile(info, globals, file, nil)
 		}
 		checkProgram(t, ir.Link(info, globals, frags))
+		checkPruned(t, info, files, []string{"main"})
 		core.AnalyzeSource(core.Options{}, sources)
 	})
 }

@@ -11,16 +11,18 @@ import (
 // the program entry.
 const InitFuncName = "__global_init"
 
-// Lower converts checked files into an IR program. The checker's Info
-// must come from cminor.Check over exactly these files. It is the
-// batch composition of the per-file half (LowerFile) and the linking
-// half (Link); incremental analysis calls the halves separately,
-// reusing cached fragments for unchanged files.
+// Lower converts checked files into a whole IR program: every defined
+// function, reachable or not. The checker's Info must come from
+// cminor.Check over exactly these files. It is the batch composition of
+// the per-file half (LowerFile) and the linking half (Link); the
+// analysis pipeline calls the halves itself, lowering only the
+// functions LiveFuncs keeps and reusing cached fragments for unchanged
+// files.
 func Lower(info *cminor.Info, files ...*cminor.File) *Program {
 	globals := NewGlobalTable(info)
 	frags := make([]*Fragment, len(files))
 	for i, f := range files {
-		frags[i] = LowerFile(info, globals, f)
+		frags[i] = LowerFile(info, globals, f, nil)
 	}
 	return Link(info, globals, frags)
 }
